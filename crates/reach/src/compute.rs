@@ -7,6 +7,7 @@ use iprism_geom::{Aabb, Grid2, Meters, Obb, Pose, Radians, Vec2};
 use iprism_map::RoadMap;
 
 use crate::slice_cache::SliceLanes;
+use crate::tube::PartialTube;
 use crate::{Obstacle, ReachConfig, ReachTube, SamplingMode, SliceCache};
 
 /// Filter verdict: the candidate survives every geometric filter.
@@ -61,9 +62,10 @@ pub fn compute_reach_tube(
 ///
 /// This is the *reference* path: it rebuilds the whole tube from scratch for
 /// whatever subset it is given. [`crate::compute_reach_tube_traced`] runs
-/// the same propagation while recording blame, which lets
-/// [`crate::patch_counterfactual`] derive single-actor-removed tubes
-/// incrementally; the patched result is bit-identical to this function.
+/// the same propagation while recording blame, from which
+/// [`crate::patch_counterfactual`] and [`crate::derive_empty_tube`] derive
+/// the single-actor-removed and empty-world tubes incrementally; the
+/// derived tubes are bit-identical to this function's.
 ///
 /// # Panics
 ///
@@ -78,19 +80,25 @@ pub fn compute_reach_tube_cached(
     active: &[usize],
     config: &ReachConfig,
 ) -> ReachTube {
-    tube_core(map, ego, cache, active, config, &mut NoTrace)
+    let start = PartialTube::start(ego, ego_grid(&ego, config));
+    tube_core(map, ego, start, cache, active, config, &mut NoTrace)
 }
 
-/// The shared propagation loop behind the reference and traced builds.
+/// The propagation loop behind every build. It expands `tube` — a fresh
+/// start from `ego`, or the copied prefix of a derived tube — slice by
+/// slice from its frontier up to the horizon, against the obstacles
+/// `active`.
 ///
 /// The tracer observes, in deterministic order, exactly the events the
 /// incremental patcher later needs: every fresh filter verdict (per parent,
 /// keyed by candidate heading bits), parent boundaries, every newly
 /// occupied grid cell, and per-slice truncation. [`NoTrace`] compiles all
 /// of it away, so the reference path is unchanged by the instrumentation.
+/// A traced build starts fresh, so its record covers every slice.
 pub(crate) fn tube_core<T: TubeTrace>(
     map: &RoadMap,
     ego: VehicleState,
+    mut tube: PartialTube,
     cache: &SliceCache,
     active: &[usize],
     config: &ReachConfig,
@@ -119,13 +127,6 @@ pub(crate) fn tube_core<T: TubeTrace>(
         .collect();
     tracer.set_active(&active);
 
-    // Ego-centred grid covering everything reachable within the horizon.
-    let mut grid = ego_grid(&ego, config);
-
-    let mut slices: Vec<Vec<VehicleState>> = Vec::with_capacity(n_slices + 1);
-    slices.push(vec![ego]);
-    let mut truncated = false;
-
     // Buffers reused across slices (the per-slice allocations dominated the
     // small-scene profile).
     let mut candidates: Vec<VehicleState> = Vec::new();
@@ -139,7 +140,7 @@ pub(crate) fn tube_core<T: TubeTrace>(
     // the whole tube.
     let mut trig = TrigTable::new();
 
-    for slice_idx in 1..=n_slices {
+    for slice_idx in tube.slice_count()..=n_slices {
         // All obstacles of this slice sit in one contiguous lane segment;
         // the active list picks the participating entries by index.
         let lanes = cache
@@ -160,7 +161,7 @@ pub(crate) fn tube_core<T: TubeTrace>(
         // verdict is computed once per distinct heading and the segment is
         // marked once per parent, with bit-identical results.
         candidates.clear();
-        for &state in &slices[slice_idx - 1] {
+        for &state in &tube.frontier {
             theta_memo.clear();
             let mut marked = false;
             // One sin/cos of the parent heading serves every control.
@@ -188,9 +189,10 @@ pub(crate) fn tube_core<T: TubeTrace>(
                     continue;
                 }
                 if !marked {
-                    grid.mark_segment_with(state.position(), cand.position(), |c| {
-                        tracer.grid_cell(c);
-                    });
+                    tube.grid
+                        .mark_segment_with(state.position(), cand.position(), |c| {
+                            tracer.grid_cell(c);
+                        });
                     marked = true;
                 }
                 candidates.push(cand);
@@ -223,13 +225,14 @@ pub(crate) fn tube_core<T: TubeTrace>(
         let slice_truncated = next.len() > config.max_frontier;
         if slice_truncated {
             next.truncate(config.max_frontier);
-            truncated = true;
+            tube.truncated = true;
         }
         tracer.slice_done(slice_truncated);
-        slices.push(next);
+        tube.frontier = next;
+        tube.emit_frontier();
     }
 
-    ReachTube::new(slices, grid, truncated)
+    tube.finish()
 }
 
 /// Observer of the propagation events a traced build records.
@@ -463,17 +466,19 @@ impl TrigTable {
 /// canonical representative (the [`canonical_order`] maximum of every
 /// candidate inserted for that cell).
 ///
-/// Slots carry a generation tag so clearing between slices is O(1); the
-/// `live` list records first-claimed slots so extraction touches only
+/// Slots carry a generation tag so clearing between slices is O(1), and
+/// hold only an index into a dense entry list of the cells claimed this
+/// generation: the table stays 8 bytes a slot, and extraction touches only
 /// occupied entries. The hash only steers probe placement — lookups compare
 /// the full key, and the caller re-sorts the extracted states — so the
 /// result is independent of the hash function and probe order.
 struct CellTable {
-    /// `(generation, key, state)`; a slot is live iff its tag equals the
+    /// `(generation, entry index)`; a slot is live iff its tag equals the
     /// table's current generation.
-    slots: Vec<(u32, (u128, u128), VehicleState)>,
-    /// Slot indices claimed this generation, in first-insertion order.
-    live: Vec<u32>,
+    slots: Vec<(u32, u32)>,
+    /// `(key, representative)` of every cell claimed this generation, in
+    /// first-insertion order.
+    entries: Vec<((u128, u128), VehicleState)>,
     generation: u32,
 }
 
@@ -481,7 +486,7 @@ impl CellTable {
     fn new() -> Self {
         CellTable {
             slots: Vec::new(),
-            live: Vec::new(),
+            entries: Vec::new(),
             generation: 0,
         }
     }
@@ -491,14 +496,13 @@ impl CellTable {
     fn begin(&mut self, n: usize) {
         let want = (n.max(1) * 2).next_power_of_two();
         if self.slots.len() < want || self.generation == u32::MAX {
-            let empty = (0, (0, 0), VehicleState::new(0.0, 0.0, 0.0, 0.0));
             self.slots.clear();
-            self.slots.resize(want, empty);
+            self.slots.resize(want, (0, 0));
             self.generation = 1;
         } else {
             self.generation += 1;
         }
-        self.live.clear();
+        self.entries.clear();
     }
 
     /// Inserts a candidate, keeping the canonical maximum per cell.
@@ -508,13 +512,14 @@ impl CellTable {
         loop {
             let slot = &mut self.slots[idx];
             if slot.0 != self.generation {
-                *slot = (self.generation, key, cand);
-                self.live.push(idx as u32);
+                *slot = (self.generation, self.entries.len() as u32);
+                self.entries.push((key, cand));
                 return;
             }
-            if slot.1 == key {
-                if canonical_order(&cand, &slot.2) == std::cmp::Ordering::Greater {
-                    slot.2 = cand;
+            let entry = &mut self.entries[slot.1 as usize];
+            if entry.0 == key {
+                if canonical_order(&cand, &entry.1) == std::cmp::Ordering::Greater {
+                    entry.1 = cand;
                 }
                 return;
             }
@@ -523,14 +528,10 @@ impl CellTable {
     }
 
     /// Extracts the representatives (in unspecified order) and clears the
-    /// live list.
+    /// entry list.
     fn drain(&mut self) -> Vec<VehicleState> {
-        let next = self
-            .live
-            .iter()
-            .map(|&i| self.slots[i as usize].2)
-            .collect();
-        self.live.clear();
+        let next = self.entries.iter().map(|e| e.1).collect();
+        self.entries.clear();
         next
     }
 }

@@ -44,6 +44,6 @@ mod tube;
 pub use compute::{compute_reach_tube, compute_reach_tube_cached};
 pub use config::{ReachConfig, SamplingMode};
 pub use obstacle::Obstacle;
-pub use patch::{compute_reach_tube_traced, patch_counterfactual, TubeBlame};
+pub use patch::{compute_reach_tube_traced, derive_empty_tube, patch_counterfactual, TubeBlame};
 pub use slice_cache::SliceCache;
 pub use tube::{ReachTube, SliceStates, TubeSlices};

@@ -7,8 +7,8 @@
 //! and a distant actor adds none — yet the reference path rebuilds each one
 //! from scratch.
 //!
-//! This module replaces the per-actor rebuilds with **incremental
-//! patching**:
+//! This module derives every tube but the factual one from a single traced
+//! build:
 //!
 //! 1. [`compute_reach_tube_traced`] runs the ordinary factual build once
 //!    while recording *blame*: for every fresh filter verdict, which
@@ -17,20 +17,27 @@
 //!    newly occupied grid cells and per-slice truncation flags
 //!    ([`TubeBlame`]).
 //! 2. [`patch_counterfactual`] then derives the tube with actor `i` removed
-//!    by revisiting **only** what actor `i` touched. Slices whose blame
-//!    mask lacks `i` (and whose ancestors were untouched) are copied
-//!    verbatim from the factual tube's SoA lanes and their recorded grid
-//!    cells replayed; from the first affected slice on, the certified
-//!    [`patch_slice`] kernel re-derives the frontier, reusing recorded
-//!    verdicts wherever the removal provably cannot change them.
+//!    by revisiting **only** what actor `i` touched. The leading slices
+//!    whose blame mask lacks `i` are copied verbatim from the factual
+//!    tube's SoA lanes and their recorded grid cells replayed; from the
+//!    first affected slice on, the certified [`patch_slice`] kernel
+//!    re-derives the frontier, reusing recorded verdicts wherever the
+//!    removal provably cannot change them.
+//! 3. [`derive_empty_tube`] derives the empty-world tube `T^∅` the same
+//!    way: the leading slices in which no actor blocked anything are
+//!    copied, and the build kernel itself resumes at the first blamed
+//!    slice with nothing active. (A patch removing every actor would reuse
+//!    almost no recorded verdict once the frontiers diverge, and pays a
+//!    sort per slice: it measured slower than a fresh build.)
 //!
-//! The patched tube is **bit-identical** to the reference rebuild
-//! ([`crate::compute_reach_tube_cached`] over `all minus i`): every reused
-//! verdict is justified by monotonicity (removing an obstacle can never
-//! turn a pass into a fail, a still-active blocker keeps blocking, and the
-//! drivable map never changes), and everything else is recomputed with the
-//! same arithmetic in the same order. The property tests at the bottom and
-//! the golden FNV suites in `crates/scenarios` gate this equivalence.
+//! The derived tubes are **bit-identical** to the reference rebuild
+//! ([`crate::compute_reach_tube_cached`] over `all minus i`, or over
+//! nothing): every reused verdict is justified by monotonicity (removing an
+//! obstacle can never turn a pass into a fail, a still-active blocker keeps
+//! blocking, and the drivable map never changes), and everything else is
+//! recomputed with the same arithmetic in the same order. The property
+//! tests at the bottom and the golden FNV suites in `crates/scenarios` gate
+//! this equivalence.
 
 use iprism_dynamics::{BicycleModel, PreparedControl, VehicleState};
 use iprism_geom::{Grid2, Seconds};
@@ -38,9 +45,10 @@ use iprism_map::RoadMap;
 
 use crate::compute::{
     canonical_order, cell_key, ego_grid, obstacles_verdict, prepare_controls, tube_core,
-    verdict_for, BodyDims, TubeTrace, VERDICT_OFF_MAP, VERDICT_PASS,
+    verdict_for, BodyDims, NoTrace, TubeTrace, VERDICT_OFF_MAP, VERDICT_PASS,
 };
 use crate::slice_cache::SliceLanes;
+use crate::tube::PartialTube;
 use crate::{ReachConfig, ReachTube, SliceCache};
 
 /// Blame record of one traced factual build: everything
@@ -105,11 +113,22 @@ impl TubeBlame {
         }
     }
 
-    /// Recorded newly occupied grid cells of one slice offset.
-    fn cells_for(&self, slice_offset: usize) -> &[u32] {
-        let lo = self.slice_cells.get(slice_offset).copied().unwrap_or(0) as usize;
-        let hi = self.slice_cells.get(slice_offset + 1).copied().unwrap_or(0) as usize;
-        self.cells.get(lo..hi).unwrap_or(&[])
+    /// The first slice (slice 0 is the ego state) in which some verdict
+    /// blamed an actor, or `None` when no actor blocked any candidate —
+    /// then the empty-world tube `T^∅` is the factual tube itself.
+    pub fn first_blamed_slice(&self) -> Option<usize> {
+        let last = self.unblamed_prefix(u64::MAX);
+        (last < self.masks.len()).then_some(last + 1)
+    }
+
+    /// The last slice before the first one whose blame mask meets `bits`
+    /// (every recorded slice when none does): a tube derived by removing
+    /// the actors of `bits` shares slices `0..=` this with the factual tube.
+    fn unblamed_prefix(&self, bits: u64) -> usize {
+        self.masks
+            .iter()
+            .position(|&m| m & bits != 0)
+            .unwrap_or(self.masks.len())
     }
 }
 
@@ -174,9 +193,61 @@ pub fn compute_reach_tube_traced(
             blame: &mut blame,
             mask: 0,
         };
-        tube_core(map, ego, cache, active, config, &mut recorder)
+        let start = PartialTube::start(ego, ego_grid(&ego, config));
+        tube_core(map, ego, start, cache, active, config, &mut recorder)
     };
     (tube, blame)
+}
+
+/// The factual tube's slices `0..=last` (clamped to the tube) as the start
+/// of a derived tube: the lanes copied, the grid cells those slices newly
+/// occupied replayed onto a fresh ego grid, their truncation flags kept.
+fn copy_prefix(
+    tube: &ReachTube,
+    blame: &TubeBlame,
+    ego: &VehicleState,
+    last: usize,
+    config: &ReachConfig,
+) -> PartialTube {
+    let last = last.min(tube.slices().len().saturating_sub(1));
+    let mut grid = ego_grid(ego, config);
+    let cells_end = blame.slice_cells.get(last).copied().unwrap_or(0) as usize;
+    for &cell in blame.cells.get(..cells_end).unwrap_or(&[]) {
+        grid.occupy_index(cell as usize);
+    }
+    let truncated = blame.truncated.iter().take(last).any(|&t| t);
+    tube.prefix(last, grid, truncated)
+}
+
+/// Derives the empty-world tube `T^∅` (no obstacle active) from a traced
+/// factual build, bit-identical to [`crate::compute_reach_tube_cached`]
+/// over the empty set.
+///
+/// A slice whose verdicts blamed no actor holds only passes and off-map
+/// verdicts, which is what the empty world gives too; so while its parents
+/// are the factual ones, the slice, the grid cells it marks and its
+/// truncation flag are the factual ones. Every slice before
+/// [`TubeBlame::first_blamed_slice`] is therefore copied, and the build
+/// kernel resumes from there with nothing active. With no blamed slice,
+/// `T^∅` is the factual tube.
+///
+/// `tube` and `blame` must come from one [`compute_reach_tube_traced`] call
+/// over the same `cache` and `config`.
+pub fn derive_empty_tube(
+    map: &RoadMap,
+    tube: &ReachTube,
+    blame: &TubeBlame,
+    cache: &SliceCache,
+    config: &ReachConfig,
+) -> ReachTube {
+    let Some(first) = blame.first_blamed_slice() else {
+        return tube.clone();
+    };
+    let Some(ego) = tube.slices().get(0).and_then(|s| s.get(0)) else {
+        return tube.clone();
+    };
+    let start = copy_prefix(tube, blame, &ego, first - 1, config);
+    tube_core(map, ego, start, cache, &[], config, &mut NoTrace)
 }
 
 /// Derives the counterfactual tube with cached obstacle `removed` deleted
@@ -210,26 +281,16 @@ pub fn patch_counterfactual(
         .copied()
         .filter(|&c| c != removed_u32)
         .collect();
-    let n_slices = config.slices();
     let fslices = tube.slices();
     let Some(ego) = fslices.get(0).and_then(|s| s.get(0)) else {
         return tube.clone();
     };
     let prepared = prepare_controls(config);
-    let mut grid = ego_grid(&ego, config);
-
-    // Output SoA lanes, seeded with slice 0 (the ego state).
-    let mut xs: Vec<f64> = Vec::with_capacity(tube.state_count());
-    let mut ys: Vec<f64> = Vec::with_capacity(tube.state_count());
-    let mut thetas: Vec<f64> = Vec::with_capacity(tube.state_count());
-    let mut vs: Vec<f64> = Vec::with_capacity(tube.state_count());
-    let mut offsets: Vec<u32> = Vec::with_capacity(n_slices + 2);
-    offsets.push(0);
-    xs.push(ego.x);
-    ys.push(ego.y);
-    thetas.push(ego.theta);
-    vs.push(ego.v);
-    offsets.push(1);
+    // Until the first slice blaming the removed actor, every slice is the
+    // factual one: its parents are, and none of its verdicts involved the
+    // actor.
+    let last = blame.unblamed_prefix(1u64 << removed_pos.min(63));
+    let mut out = copy_prefix(tube, blame, &ego, last, config);
 
     // Scratch the kernel works in (it cannot allocate): a per-parent
     // verdict memo and a candidate buffer sized for the worst slice.
@@ -251,46 +312,18 @@ pub fn patch_counterfactual(
         removed_pos,
     };
 
-    let mut prev: Vec<VehicleState> = vec![ego];
+    // From the first affected slice on, the frontier may grow past the
+    // factual one, so every later slice is patched.
     let mut factual_parents: Vec<VehicleState> = Vec::new();
-    let mut fast = true;
-    let mut truncated = false;
-    let removed_bit = 1u64 << removed_pos.min(63);
-
-    for slice_idx in 1..=n_slices {
+    for slice_idx in out.slice_count()..=config.slices() {
         let so = slice_idx - 1;
-        // Fast path: every earlier slice was copied verbatim (identical
-        // parents) and no verdict of this slice blamed the removed actor,
-        // so the counterfactual slice *is* the factual slice — copy its
-        // lanes, replay its recorded grid cells, keep its truncation flag.
-        if fast && blame.masks.get(so).copied().unwrap_or(u64::MAX) & removed_bit == 0 {
-            if let Some(fslice) = fslices.get(slice_idx) {
-                let (fxs, fys, fthetas, fvs) = fslice.lanes();
-                xs.extend_from_slice(fxs);
-                ys.extend_from_slice(fys);
-                thetas.extend_from_slice(fthetas);
-                vs.extend_from_slice(fvs);
-                offsets.push(xs.len() as u32);
-                for &cell in blame.cells_for(so) {
-                    grid.occupy_index(cell as usize);
-                }
-                truncated |= blame.truncated.get(so).copied().unwrap_or(false);
-                prev.clear();
-                prev.extend(fslice.iter());
-                continue;
-            }
-        }
-        // From the first affected slice on, the frontier may grow past the
-        // factual one, so every later slice must be patched too.
-        fast = false;
-
         factual_parents.clear();
-        if let Some(fparents) = fslices.get(slice_idx - 1) {
+        if let Some(fparents) = fslices.get(so) {
             factual_parents.extend(fparents.iter());
         }
         let parents_base = blame.slice_parents.get(so).copied().unwrap_or(0) as usize;
         let lanes = cache.slice_lanes(so).unwrap_or(SliceLanes::EMPTY);
-        let needed = prev.len() * prepared.len();
+        let needed = out.frontier.len() * prepared.len();
         if buf.len() < needed {
             buf.resize(needed, ((0, 0), empty_state));
         }
@@ -298,26 +331,19 @@ pub fn patch_counterfactual(
             &ctx,
             &lanes,
             parents_base,
-            &prev,
+            &out.frontier,
             &factual_parents,
-            &mut grid,
+            &mut out.grid,
             &mut memo,
             &mut buf,
         );
-        truncated |= slice_truncated;
-        prev.clear();
-        for entry in buf.iter().take(frontier_len) {
-            let s = entry.1;
-            prev.push(s);
-            xs.push(s.x);
-            ys.push(s.y);
-            thetas.push(s.theta);
-            vs.push(s.v);
-        }
-        offsets.push(xs.len() as u32);
+        out.truncated |= slice_truncated;
+        out.frontier.clear();
+        out.frontier
+            .extend(buf.iter().take(frontier_len).map(|entry| entry.1));
+        out.emit_frontier();
     }
-
-    ReachTube::from_lanes(xs, ys, thetas, vs, offsets, grid, truncated)
+    out.finish()
 }
 
 /// The loop-invariant inputs of [`patch_slice`].
@@ -567,6 +593,38 @@ mod tests {
         )
     }
 
+    /// An obstacle driving along the road at `speed` (negative: oncoming).
+    fn moving_obstacle(x: f64, y: f64, speed: f64) -> Obstacle {
+        let heading = if speed < 0.0 {
+            std::f64::consts::PI
+        } else {
+            0.0
+        };
+        let states = (0..14)
+            .map(|i| VehicleState::new(x + speed * 0.25 * f64::from(i), y, heading, speed.abs()))
+            .collect();
+        Obstacle::new(
+            Trajectory::from_states(Seconds::new(0.0), Seconds::new(0.25), states),
+            Meters::new(4.6),
+            Meters::new(2.0),
+        )
+    }
+
+    /// The traced factual build over every obstacle, `T^∅` derived from it,
+    /// and `T^∅` rebuilt from scratch.
+    fn empty_tubes(
+        obstacles: &[Obstacle],
+        cfg: &ReachConfig,
+    ) -> (ReachTube, TubeBlame, ReachTube, ReachTube) {
+        let map = open_road();
+        let cache = SliceCache::new(obstacles, cfg);
+        let all: Vec<usize> = (0..obstacles.len()).collect();
+        let (tube, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, cfg);
+        let derived = derive_empty_tube(&map, &tube, &blame, &cache, cfg);
+        let rebuilt = compute_reach_tube_cached(&map, ego(), &cache, &[], cfg);
+        (tube, blame, derived, rebuilt)
+    }
+
     fn scene() -> Vec<Obstacle> {
         vec![
             stationary_obstacle(112.0, 5.25),
@@ -630,6 +688,85 @@ mod tests {
         // Patching any index is a clone (nothing to remove).
         let patched = patch_counterfactual(&map, &tube, &blame, &cache, 0, &cfg);
         assert_eq!(patched, tube);
+    }
+
+    #[test]
+    fn empty_derivation_without_blame_is_the_factual_tube() {
+        // Beside the road: within the ego's broadphase reach, but every
+        // candidate that could touch it has already left the map.
+        let (tube, blame, derived, rebuilt) =
+            empty_tubes(&[stationary_obstacle(115.0, 14.0)], &ReachConfig::default());
+        assert_eq!(blame.active(), &[0]);
+        assert_eq!(blame.first_blamed_slice(), None);
+        assert_eq!(derived, tube);
+        assert_eq!(derived, rebuilt);
+    }
+
+    #[test]
+    fn empty_derivation_blamed_from_slice_one() {
+        // Right ahead of the ego: it blocks candidates of the first slice,
+        // so only slice 0 is shared.
+        let (tube, blame, derived, rebuilt) =
+            empty_tubes(&[stationary_obstacle(106.0, 5.25)], &ReachConfig::default());
+        assert_eq!(blame.first_blamed_slice(), Some(1));
+        assert_ne!(derived, tube);
+        assert_eq!(derived, rebuilt);
+    }
+
+    #[test]
+    fn empty_derivation_blamed_mid_horizon() {
+        // Far ahead in the ego's lane: reached late in the horizon, so the
+        // derived tube shares its leading slices with the factual one.
+        let cfg = ReachConfig::default();
+        let (tube, blame, derived, rebuilt) =
+            empty_tubes(&[stationary_obstacle(128.0, 5.25)], &cfg);
+        let first = blame
+            .first_blamed_slice()
+            .expect("the obstacle blocks late");
+        assert!(
+            1 < first && first < cfg.slices(),
+            "first blamed slice {first}"
+        );
+        for i in 0..first {
+            let (a, b) = (
+                tube.slices().get(i).unwrap(),
+                derived.slices().get(i).unwrap(),
+            );
+            assert!(a.iter().eq(b.iter()), "shared slice {i} differs");
+        }
+        assert_ne!(derived, tube);
+        assert_eq!(derived, rebuilt);
+    }
+
+    proptest! {
+        /// `T^∅` derived from a traced factual build equals the rebuild
+        /// over the empty set in every field — slices, grid and truncation
+        /// flag — across random stationary, leading and oncoming obstacles,
+        /// both presets and every sampling mode.
+        #[test]
+        fn prop_empty_derivation_matches_rebuild(
+            placements in proptest::collection::vec(
+                (103.0..160.0f64, 0.5..10.0f64, -8.0..8.0f64), 0..9),
+            default_preset in any::<bool>(),
+            mode in 0usize..3,
+        ) {
+            let mut cfg = if default_preset {
+                ReachConfig::default()
+            } else {
+                ReachConfig::fast()
+            };
+            cfg.mode = match mode {
+                0 => SamplingMode::Boundary,
+                1 => SamplingMode::Extreme,
+                _ => SamplingMode::Uniform { na: 3, ns: 3 },
+            };
+            let obstacles: Vec<Obstacle> = placements
+                .iter()
+                .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
+                .collect();
+            let (_, _, derived, rebuilt) = empty_tubes(&obstacles, &cfg);
+            prop_assert_eq!(derived, rebuilt);
+        }
     }
 
     proptest! {

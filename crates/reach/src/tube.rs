@@ -14,9 +14,9 @@ use serde::{Deserialize, Serialize};
 ///
 /// States are stored structure-of-arrays: one contiguous lane per state
 /// component (`x`, `y`, `theta`, `v`) plus a per-slice offset table. The
-/// layout keeps each component cache-dense for the incremental
-/// counterfactual patcher, which streams whole slices (copying lanes
-/// verbatim on unaffected slices) instead of walking per-state structs.
+/// layout keeps each component cache-dense for the tubes derived from a
+/// factual build, which copy its unaffected leading slices lane by lane
+/// instead of walking per-state structs.
 /// [`ReachTube::slices`] exposes the same slice/state view the
 /// array-of-structs layout provided.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -33,58 +33,29 @@ pub struct ReachTube {
 }
 
 impl ReachTube {
-    pub(crate) fn new(slices: Vec<Vec<VehicleState>>, grid: Grid2, truncated: bool) -> Self {
-        let total = slices.iter().map(Vec::len).sum();
-        let mut xs = Vec::with_capacity(total);
-        let mut ys = Vec::with_capacity(total);
-        let mut thetas = Vec::with_capacity(total);
-        let mut vs = Vec::with_capacity(total);
-        let mut offsets = Vec::with_capacity(slices.len() + 1);
-        offsets.push(0);
-        for slice in &slices {
-            for s in slice {
-                xs.push(s.x);
-                ys.push(s.y);
-                thetas.push(s.theta);
-                vs.push(s.v);
-            }
-            offsets.push(xs.len() as u32);
-        }
-        ReachTube {
-            xs,
-            ys,
-            thetas,
-            vs,
+    /// A partial tube holding this tube's slices `0..=last` verbatim (one
+    /// copy per lane) over `grid`, with `truncated` as its flag so far; its
+    /// frontier is slice `last`, which must exist. The lanes reserve room
+    /// for a tube of this one's size.
+    pub(crate) fn prefix(&self, last: usize, grid: Grid2, truncated: bool) -> PartialTube {
+        let end = self.offsets.get(last + 1).copied().unwrap_or(0) as usize;
+        let lane = |values: &[f64]| {
+            let mut copy = Vec::with_capacity(values.len());
+            copy.extend_from_slice(values.get(..end).unwrap_or(&[]));
+            copy
+        };
+        let mut offsets = Vec::with_capacity(self.offsets.len());
+        offsets.extend_from_slice(self.offsets.get(..last + 2).unwrap_or(&[0]));
+        PartialTube {
+            xs: lane(&self.xs),
+            ys: lane(&self.ys),
+            thetas: lane(&self.thetas),
+            vs: lane(&self.vs),
             offsets,
-            grid,
-            truncated,
-        }
-    }
-
-    /// Assembles a tube directly from SoA lanes (the patcher's output
-    /// format). `offsets` must start at 0, be non-decreasing and end at the
-    /// lane length; the patcher maintains this by construction.
-    pub(crate) fn from_lanes(
-        xs: Vec<f64>,
-        ys: Vec<f64>,
-        thetas: Vec<f64>,
-        vs: Vec<f64>,
-        offsets: Vec<u32>,
-        grid: Grid2,
-        truncated: bool,
-    ) -> Self {
-        debug_assert_eq!(offsets.first(), Some(&0));
-        debug_assert_eq!(offsets.last().copied().unwrap_or(0) as usize, xs.len());
-        debug_assert!(offsets.windows(2).all(|w| w[0] <= w[1]));
-        debug_assert_eq!(xs.len(), ys.len());
-        debug_assert_eq!(xs.len(), thetas.len());
-        debug_assert_eq!(xs.len(), vs.len());
-        ReachTube {
-            xs,
-            ys,
-            thetas,
-            vs,
-            offsets,
+            frontier: self
+                .slices()
+                .get(last)
+                .map_or_else(Vec::new, |s| s.iter().collect()),
             grid,
             truncated,
         }
@@ -146,6 +117,71 @@ impl ReachTube {
     #[inline]
     pub fn was_truncated(&self) -> bool {
         self.truncated
+    }
+}
+
+/// A tube under construction, slice by slice: the SoA lanes of the slices
+/// emitted so far, the grid they marked, their truncation flag, and the
+/// last emitted slice — the frontier the next slice expands. A full build
+/// starts from the ego state alone ([`PartialTube::start`]); a derived tube
+/// starts from a copied prefix of a factual one ([`ReachTube::prefix`]).
+pub(crate) struct PartialTube {
+    xs: Vec<f64>,
+    ys: Vec<f64>,
+    thetas: Vec<f64>,
+    vs: Vec<f64>,
+    offsets: Vec<u32>,
+    /// The last emitted slice's states, in stored order.
+    pub(crate) frontier: Vec<VehicleState>,
+    /// Cells marked by the emitted slices.
+    pub(crate) grid: Grid2,
+    /// `true` once an emitted slice hit the frontier cap.
+    pub(crate) truncated: bool,
+}
+
+impl PartialTube {
+    /// A tube holding only slice 0, the initial state `ego`, over `grid`.
+    pub(crate) fn start(ego: VehicleState, grid: Grid2) -> Self {
+        PartialTube {
+            xs: vec![ego.x],
+            ys: vec![ego.y],
+            thetas: vec![ego.theta],
+            vs: vec![ego.v],
+            offsets: vec![0, 1],
+            frontier: vec![ego],
+            grid,
+            truncated: false,
+        }
+    }
+
+    /// Number of emitted slices, slice 0 included: the index of the next
+    /// slice to emit.
+    pub(crate) fn slice_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Emits `frontier` as the next slice.
+    pub(crate) fn emit_frontier(&mut self) {
+        for s in &self.frontier {
+            self.xs.push(s.x);
+            self.ys.push(s.y);
+            self.thetas.push(s.theta);
+            self.vs.push(s.v);
+        }
+        self.offsets.push(self.xs.len() as u32);
+    }
+
+    /// The finished tube.
+    pub(crate) fn finish(self) -> ReachTube {
+        ReachTube {
+            xs: self.xs,
+            ys: self.ys,
+            thetas: self.thetas,
+            vs: self.vs,
+            offsets: self.offsets,
+            grid: self.grid,
+            truncated: self.truncated,
+        }
     }
 }
 
@@ -229,13 +265,6 @@ impl<'a> SliceStates<'a> {
             .zip(self.vs)
             .map(|(((&x, &y), &theta), &v)| VehicleState::new(x, y, theta, v))
     }
-
-    /// The raw component lanes `(xs, ys, thetas, vs)` — used by the patcher
-    /// to copy unaffected slices verbatim.
-    #[inline]
-    pub(crate) fn lanes(&self) -> (&'a [f64], &'a [f64], &'a [f64], &'a [f64]) {
-        (self.xs, self.ys, self.thetas, self.vs)
-    }
 }
 
 #[cfg(test)]
@@ -252,7 +281,12 @@ mod tests {
         for s in slices.iter().skip(1).flatten() {
             grid.mark(s.position());
         }
-        ReachTube::new(slices, grid, false)
+        let mut tube = PartialTube::start(slices[0][0], grid);
+        for slice in &slices[1..] {
+            tube.frontier.clone_from(slice);
+            tube.emit_frontier();
+        }
+        tube.finish()
     }
 
     #[test]
@@ -313,48 +347,39 @@ mod tests {
     }
 
     #[test]
-    fn lanes_expose_components_in_order() {
-        let t = tube_with(vec![
-            vec![VehicleState::new(0.0, 1.0, 0.1, 5.0)],
-            vec![
-                VehicleState::new(1.0, 2.0, 0.2, 6.0),
-                VehicleState::new(3.0, 4.0, 0.3, 7.0),
-            ],
-        ]);
-        let slice = t.slices().get(1).unwrap();
-        let (xs, ys, thetas, vs) = slice.lanes();
-        assert_eq!(xs, &[1.0, 3.0]);
-        assert_eq!(ys, &[2.0, 4.0]);
-        assert_eq!(thetas, &[0.2, 0.3]);
-        assert_eq!(vs, &[6.0, 7.0]);
-    }
-
-    #[test]
-    fn from_lanes_matches_new() {
+    fn prefix_resumes_to_the_same_tube() {
         let slices = vec![
             vec![VehicleState::new(0.0, 0.0, 0.0, 5.0)],
-            vec![VehicleState::new(1.0, 0.0, 0.0, 5.0)],
+            vec![
+                VehicleState::new(1.0, -0.5, 0.2, 5.5),
+                VehicleState::new(2.0, 0.5, -0.2, 4.5),
+            ],
+            vec![VehicleState::new(3.0, 0.0, 0.0, 5.0)],
         ];
-        let via_new = tube_with(slices.clone());
-        let via_lanes = ReachTube::from_lanes(
-            vec![0.0, 1.0],
-            vec![0.0, 0.0],
-            vec![0.0, 0.0],
-            vec![5.0, 5.0],
-            vec![0, 1, 2],
-            via_new.grid().clone(),
-            false,
+        let t = tube_with(slices.clone());
+        assert_eq!(t.prefix(2, t.grid().clone(), false).finish(), t);
+        // A shorter prefix ends at its frontier; emitting the remaining
+        // slice restores the tube.
+        let mut head = t.prefix(1, t.grid().clone(), false);
+        assert_eq!(head.slice_count(), 2);
+        assert_eq!(head.frontier, slices[1]);
+        head.frontier.clone_from(&slices[2]);
+        head.emit_frontier();
+        assert_eq!(head.finish(), t);
+        // Slice 0 alone is a fresh start from the same state.
+        assert_eq!(
+            t.prefix(0, t.grid().clone(), false).finish(),
+            PartialTube::start(slices[0][0], t.grid().clone()).finish()
         );
-        assert_eq!(via_new, via_lanes);
     }
 
     #[test]
     fn truncation_flag() {
-        let t = ReachTube::new(
-            vec![vec![VehicleState::default()]],
+        let mut t = PartialTube::start(
+            VehicleState::default(),
             Grid2::new(Aabb::new(Vec2::ZERO, Vec2::new(1.0, 1.0)), Meters::new(0.5)),
-            true,
         );
-        assert!(t.was_truncated());
+        t.truncated = true;
+        assert!(t.finish().was_truncated());
     }
 }

@@ -46,7 +46,7 @@ mod ttc;
 
 pub use cipa::{dist_cipa, CIPA_RISK_DISTANCE};
 pub use ltfma::{ltfma_seconds, ltfma_steps, RiskIndicator};
-pub use memo::{EmptyTubeMemo, TubeMemo};
+pub use memo::TubeMemo;
 pub use metric::{DistCipaMetric, LtfmaMetric, RiskMetric, RiskScore, TtcMetric};
 pub use pkl::{Pkl, PklModel, PklPlannerConfig};
 pub use scene::{SceneActor, SceneSnapshot};

@@ -62,9 +62,6 @@ pub struct TubeMemo {
     entries: Mutex<BTreeMap<MemoKey, f64>>,
 }
 
-/// Historical name of [`TubeMemo`], from when only `|T^∅|` was cached.
-pub type EmptyTubeMemo = TubeMemo;
-
 impl TubeMemo {
     /// Creates an empty memo.
     #[must_use]

@@ -5,8 +5,8 @@ use std::sync::Arc;
 use iprism_dynamics::VehicleState;
 use iprism_map::RoadMap;
 use iprism_reach::{
-    compute_reach_tube_cached, compute_reach_tube_traced, patch_counterfactual, ReachConfig,
-    ReachTube, SliceCache, TubeBlame,
+    compute_reach_tube_cached, compute_reach_tube_traced, derive_empty_tube, patch_counterfactual,
+    ReachConfig, SliceCache,
 };
 use iprism_sim::ActorId;
 use iprism_units::{Meters, Seconds};
@@ -46,17 +46,6 @@ impl Sti {
     }
 }
 
-/// One fully built reach-tube of an STI evaluation. Per-actor
-/// counterfactual tubes no longer appear here: they are derived from the
-/// traced factual build by [`patch_counterfactual`], not built.
-#[derive(Debug, Clone, Copy)]
-enum Tube {
-    /// `T`: every actor present.
-    All,
-    /// `T^∅`: no actors.
-    Empty,
-}
-
 /// Name of the environment variable overriding the automatic STI thread
 /// count (`StiEvaluator` with `threads = 0`). Must parse as a positive
 /// integer; `1` forces serial evaluation.
@@ -73,22 +62,28 @@ pub const STI_THREADS_ENV: &str = "IPRISM_STI_THREADS";
 ///
 /// # Performance and determinism
 ///
-/// Only **two** tubes are built from scratch per evaluation: the factual
-/// tube — computed once with blame tracking
-/// ([`compute_reach_tube_traced`]) — and the empty tube. Every per-actor
-/// counterfactual is then *derived* from the factual tube by the
-/// incremental patch kernel ([`patch_counterfactual`]), which revisits
-/// only the cells whose blocking verdict involved the removed actor and is
-/// bit-identical to the full rebuild it replaces. All tubes of one
-/// evaluation share a single precomputed [`SliceCache`] (obstacle
-/// footprints are interpolated once, not once per counterfactual); the
-/// patches are fanned out over a rayon thread pool sized by
-/// [`StiEvaluator::with_threads`]. Results are collected in deterministic
-/// order and each patch is a pure function of the traced build, so the
-/// output is **byte-for-byte identical** for every thread count, including
-/// fully serial. Actors whose swept extent the ego provably cannot reach
-/// are skipped outright — their counterfactual tube is bit-identical to
-/// the factual tube, so their STI is exactly `0` either way.
+/// Only **one** tube is built from scratch per evaluation: the factual
+/// tube `T`, with blame tracking ([`compute_reach_tube_traced`]). Every
+/// other tube is *derived* from that build, bit-identical to the full
+/// rebuild it replaces:
+///
+/// * `T^∅` ([`derive_empty_tube`]) copies the factual slices before the
+///   first slice in which any actor blocked a candidate, then resumes the
+///   build kernel there with no obstacle active; when no actor blocked
+///   anything, it is `T` itself;
+/// * each `T^{/i}` ([`patch_counterfactual`]) revisits only the work whose
+///   blocking verdict involved the removed actor.
+///
+/// All tubes of one evaluation share a single precomputed [`SliceCache`]
+/// (obstacle footprints are interpolated once, not once per tube). The
+/// derivations are fanned out over a rayon thread pool sized by
+/// [`StiEvaluator::with_threads`]; results are collected in deterministic
+/// order and each derivation is a pure function of the traced build, so
+/// the output is **byte-for-byte identical** for every thread count,
+/// including fully serial. Actors whose swept extent the ego provably
+/// cannot reach are skipped outright — their counterfactual tube is
+/// bit-identical to the factual tube, so their STI is exactly `0` either
+/// way.
 #[derive(Debug, Clone, Default)]
 pub struct StiEvaluator {
     /// Reach-tube parameters.
@@ -133,13 +128,6 @@ impl StiEvaluator {
     pub fn with_tube_memo(mut self, memo: Arc<TubeMemo>) -> Self {
         self.tube_memo = Some(memo);
         self
-    }
-
-    /// Alias of [`StiEvaluator::with_tube_memo`] under the memo's
-    /// historical name.
-    #[must_use]
-    pub fn with_empty_tube_memo(self, memo: Arc<TubeMemo>) -> Self {
-        self.with_tube_memo(memo)
     }
 
     /// The configured thread count (`0` = automatic).
@@ -191,63 +179,86 @@ impl StiEvaluator {
             }
         }
 
-        // One traced factual build; every counterfactual derives from it as
-        // a sparse patch, bit-identical to the rebuild it replaces.
+        // One traced factual build; every other tube derives from it,
+        // bit-identical to the rebuild it replaces.
         let (ftube, blame) = compute_reach_tube_traced(map, scene.ego, &cache, &all_idx, &cfg);
         let v_all = ftube.volume();
         if let Some(memo) = &self.tube_memo {
             memo.insert(self.volume_key(&scene.ego, &cache, &all_idx, &cfg), v_all);
         }
 
-        // Job 0 is the empty tube (the one remaining full build); every
-        // later job ships a patch of the traced tube.
+        // Job 0 derives the empty tube; every later job patches one actor
+        // out of the traced tube.
         let mut jobs: Vec<Option<usize>> = Vec::with_capacity(reachable.len() + 1);
         jobs.push(None);
         jobs.extend(reachable.iter().map(|&i| Some(i)));
         let volumes = self.run_jobs(&jobs, |job| match *job {
-            None => self.memoized_volume(map, scene.ego, &cache, &[], &cfg),
-            Some(skip) => {
-                self.patched_volume(map, &ftube, &blame, &cache, scene.ego, &all_idx, skip, &cfg)
-            }
+            None => self.memoized(
+                || self.volume_key(&scene.ego, &cache, &[], &cfg),
+                || derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume(),
+            ),
+            Some(skip) => self.memoized(
+                || {
+                    let reduced: Vec<usize> =
+                        all_idx.iter().copied().filter(|&j| j != skip).collect();
+                    self.volume_key(&scene.ego, &cache, &reduced, &cfg)
+                },
+                || patch_counterfactual(map, &ftube, &blame, &cache, skip, &cfg).volume(),
+            ),
         });
         let v_empty = volumes[0];
         assemble_sti(scene, v_all, v_empty, &slot_of_actor, &volumes[1..])
     }
 
-    /// Cheap evaluation of only `STI^(combined)` (two reach-tubes instead of
-    /// `N + 2`) — what the SMC reward needs at every RL step. Shares the
-    /// slice cache between both tubes and honours the empty-tube memo.
+    /// Cheap evaluation of only `STI^(combined)` (Eq. 5) — what the SMC
+    /// reward needs at every RL step. Two volumes instead of `N + 2`: one
+    /// traced factual build, then `T^∅` derived from it
+    /// ([`derive_empty_tube`]), over one shared slice cache, on the calling
+    /// thread.
+    ///
+    /// With a tube memo attached, a cached volume is not recomputed: when
+    /// only `|T|` is cached, `T^∅` is built directly, and vice versa. The
+    /// result is bit-identical to `evaluate(..).combined` and to two
+    /// independent builds, whatever the memo holds.
     // iprism: hot-path(deterministic)
     pub fn evaluate_combined(&self, map: &RoadMap, scene: &SceneSnapshot) -> f64 {
         let cfg = self.scene_config(scene);
         let obstacles = scene.obstacles();
         let cache = SliceCache::new(&obstacles, &cfg);
         let all_idx: Vec<usize> = (0..obstacles.len()).collect();
-        let jobs = [Tube::All, Tube::Empty];
-        let volumes = self.run_jobs(&jobs, |tube| {
-            self.tube_volume(map, scene.ego, &cache, &all_idx, *tube, &cfg)
+        let ego = scene.ego;
+        // The memo and the keys of `[|T|, |T^∅|]`, hashed once.
+        let memo = self.tube_memo.as_deref().map(|memo| {
+            let keys = [
+                self.volume_key(&ego, &cache, &all_idx, &cfg),
+                self.volume_key(&ego, &cache, &[], &cfg),
+            ];
+            (memo, keys)
         });
-        let sti = sti_ratio(volumes[1] - volumes[0], volumes[1]);
+        let hits = memo.map_or([None, None], |(memo, keys)| keys.map(|key| memo.get(&key)));
+        let build =
+            |active: &[usize]| compute_reach_tube_cached(map, ego, &cache, active, &cfg).volume();
+        let volumes = match hits {
+            [Some(v_all), Some(v_empty)] => [v_all, v_empty],
+            [Some(v_all), None] => [v_all, build(&[])],
+            [None, Some(v_empty)] => [build(&all_idx), v_empty],
+            [None, None] => {
+                let (ftube, blame) = compute_reach_tube_traced(map, ego, &cache, &all_idx, &cfg);
+                let v_empty = derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume();
+                [ftube.volume(), v_empty]
+            }
+        };
+        if let Some((memo, keys)) = memo {
+            for ((key, hit), volume) in keys.into_iter().zip(hits).zip(volumes) {
+                if hit.is_none() {
+                    memo.insert(key, volume);
+                }
+            }
+        }
+        let [v_all, v_empty] = volumes;
+        let sti = sti_ratio(v_empty - v_all, v_empty);
         iprism_contracts::check_sti("StiEvaluator::evaluate_combined", sti);
         sti
-    }
-
-    /// Computes one fully built tube's volume (memo-aware — the active set
-    /// enters the memo key via the fingerprints of its interpolated
-    /// footprints and its index subset).
-    fn tube_volume(
-        &self,
-        map: &RoadMap,
-        ego: VehicleState,
-        cache: &SliceCache,
-        all_idx: &[usize],
-        tube: Tube,
-        cfg: &ReachConfig,
-    ) -> f64 {
-        match tube {
-            Tube::All => self.memoized_volume(map, ego, cache, all_idx, cfg),
-            Tube::Empty => self.memoized_volume(map, ego, cache, &[], cfg),
-        }
     }
 
     /// The memo key of the tube over `active` at this ego state.
@@ -266,46 +277,12 @@ impl StiEvaluator {
         )
     }
 
-    /// `compute_reach_tube_cached(...).volume()` through the tube memo when
-    /// one is attached.
-    fn memoized_volume(
-        &self,
-        map: &RoadMap,
-        ego: VehicleState,
-        cache: &SliceCache,
-        active: &[usize],
-        cfg: &ReachConfig,
-    ) -> f64 {
+    /// `compute()`, through the tube memo under `key()` when one is
+    /// attached. Derived tubes are bit-identical to rebuilds, so cached
+    /// values are interchangeable between the paths.
+    fn memoized(&self, key: impl FnOnce() -> MemoKey, compute: impl FnOnce() -> f64) -> f64 {
         match &self.tube_memo {
-            Some(memo) => memo.get_or_compute(self.volume_key(&ego, cache, active, cfg), || {
-                compute_reach_tube_cached(map, ego, cache, active, cfg).volume()
-            }),
-            None => compute_reach_tube_cached(map, ego, cache, active, cfg).volume(),
-        }
-    }
-
-    /// The volume of the counterfactual tube with `skip` removed, derived
-    /// from the traced factual build by [`patch_counterfactual`] (memo-aware
-    /// like [`StiEvaluator::memoized_volume`]; the patch is bit-identical to
-    /// the rebuild, so cached values are interchangeable between paths).
-    #[allow(clippy::too_many_arguments)] // internal fan-out helper
-    fn patched_volume(
-        &self,
-        map: &RoadMap,
-        ftube: &ReachTube,
-        blame: &TubeBlame,
-        cache: &SliceCache,
-        ego: VehicleState,
-        all_idx: &[usize],
-        skip: usize,
-        cfg: &ReachConfig,
-    ) -> f64 {
-        let compute = || patch_counterfactual(map, ftube, blame, cache, skip, cfg).volume();
-        match &self.tube_memo {
-            Some(memo) => {
-                let reduced: Vec<usize> = all_idx.iter().copied().filter(|&j| j != skip).collect();
-                memo.get_or_compute(self.volume_key(&ego, cache, &reduced, cfg), compute)
-            }
+            Some(memo) => memo.get_or_compute(key(), compute),
             None => compute(),
         }
     }
@@ -554,6 +531,45 @@ mod tests {
             (memoized.evaluate_combined(&map3(), &scene) - direct.combined).abs() < 1e-12,
             "combined fast path must agree through the memo"
         );
+    }
+
+    #[test]
+    fn combined_is_identical_for_every_memo_state() {
+        // Cold, and with exactly one of `|T|`, `|T^∅|` cached: the combined
+        // STI is the same bits, and both volumes are cached afterwards.
+        let map = map3();
+        let scene = SceneSnapshot::new(0.0, ego(), (4.6, 2.0))
+            .with_actor(parked(1, 114.0, 5.25))
+            .with_actor(parked(2, 125.0, 8.75));
+        let plain = StiEvaluator::default();
+        let expect = plain.evaluate_combined(&map, &scene);
+        assert_eq!(expect, plain.evaluate(&map, &scene).combined);
+
+        let cfg = plain.scene_config(&scene);
+        let cache = SliceCache::new(&scene.obstacles(), &cfg);
+        let all = [0, 1];
+        let cached = |active: &[usize]| {
+            let volume = compute_reach_tube_cached(&map, scene.ego, &cache, active, &cfg).volume();
+            (plain.volume_key(&scene.ego, &cache, active, &cfg), volume)
+        };
+        for (label, seeded) in [
+            ("cold", vec![]),
+            ("|T| cached", vec![cached(&all)]),
+            ("|T^∅| cached", vec![cached(&[])]),
+        ] {
+            let memo = Arc::new(TubeMemo::new());
+            for &(key, volume) in &seeded {
+                memo.insert(key, volume);
+            }
+            let memoized = StiEvaluator::default().with_tube_memo(memo.clone());
+            assert_eq!(memoized.evaluate_combined(&map, &scene), expect, "{label}");
+            assert_eq!(memo.len(), 2, "{label}: both volumes cached afterwards");
+            assert_eq!(
+                memoized.evaluate_combined(&map, &scene),
+                expect,
+                "{label}, warm"
+            );
+        }
     }
 
     #[test]

@@ -135,6 +135,61 @@ fn delta_patched_sti_is_byte_identical_across_thread_counts() {
 }
 
 #[test]
+fn combined_sti_is_byte_identical_across_threads_and_memo_states() {
+    // `evaluate_combined` is one traced build plus `T^∅` derived from it.
+    // For every thread count and whatever the memo already holds, it must
+    // reproduce `evaluate(..).combined` and the naive two-build reference
+    // bit for bit. (A memo holding `|T|` but not `|T^∅|` cannot be set up
+    // through the public API; the risk crate's unit tests cover it.)
+    use iprism_risk::TubeMemo;
+    use std::sync::Arc;
+    for (typology, seed) in [(Typology::LeadCutIn, 3), (Typology::GhostCutIn, 11)] {
+        let (map, scene) = seeded_scene(typology, seed);
+        let mut cfg = ReachConfig::default().at_time(Seconds::new(scene.time));
+        cfg.ego_dims = (Meters::new(scene.ego_dims.0), Meters::new(scene.ego_dims.1));
+        let v_all = compute_reach_tube(&map, scene.ego, &scene.obstacles(), &cfg).volume();
+        let v_empty = compute_reach_tube(&map, scene.ego, &[], &cfg).volume();
+        let naive = if v_empty <= 0.0 {
+            0.0
+        } else {
+            ((v_empty - v_all) / v_empty).clamp(0.0, 1.0)
+        };
+        let full = StiEvaluator::default()
+            .with_threads(1)
+            .evaluate(&map, &scene);
+        assert_eq!(full.combined.to_bits(), naive.to_bits(), "{typology:?}");
+        // The same ego without actors: its factual tube is the scene's
+        // `T^∅`, so it caches exactly the scene's `|T^∅|`.
+        let mut actor_free = scene.clone();
+        actor_free.actors.clear();
+        for threads in [1, 2, 8] {
+            let plain = StiEvaluator::default().with_threads(threads);
+            let check = |value: f64, memo_state: &str| {
+                assert_eq!(
+                    value.to_bits(),
+                    naive.to_bits(),
+                    "{typology:?}, {threads} threads, {memo_state}"
+                );
+            };
+            check(plain.evaluate_combined(&map, &scene), "no memo");
+            let memo = Arc::new(TubeMemo::new());
+            let memoized = plain.clone().with_tube_memo(memo.clone());
+            check(memoized.evaluate_combined(&map, &scene), "cold memo");
+            check(memoized.evaluate_combined(&map, &scene), "warm memo");
+            let memo = Arc::new(TubeMemo::new());
+            let memoized = plain.clone().with_tube_memo(memo.clone());
+            memoized.evaluate_combined(&map, &actor_free);
+            assert_eq!(memo.len(), 1);
+            check(
+                memoized.evaluate_combined(&map, &scene),
+                "only |T^∅| cached",
+            );
+            assert_eq!(memo.len(), 2);
+        }
+    }
+}
+
+#[test]
 fn sti_evaluator_matches_naive_counterfactual_reference() {
     // The evaluator's shared-cache + broadphase + relevance-skip machinery
     // must agree *exactly* with the naive reference that recomputes every

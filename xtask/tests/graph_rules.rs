@@ -403,9 +403,9 @@ fn golden_sti_chain_resolves_into_the_reach_kernel() {
     let graph = build_workspace_graph(&workspace_root()).expect("workspace walk");
     assert!(
         graph
-            .find_path("StiEvaluator::evaluate", "compute_reach_tube_cached")
+            .find_path("StiEvaluator::evaluate", "tube_core")
             .is_some(),
-        "STI scoring must reach the cached tube kernel"
+        "STI scoring must reach the reach-expansion kernel"
     );
 }
 
