@@ -1,19 +1,21 @@
 //! Algorithm 1: frontier-by-frontier reach-tube propagation.
 
+use std::cell::RefCell;
 use std::cmp::Ordering;
 
 use iprism_dynamics::{ControlInput, PreparedControl, VehicleState};
 use iprism_geom::{Aabb, Grid2, Meters, Obb, Pose, Radians, Vec2};
 use iprism_map::RoadMap;
 
+use crate::patch::{Basis, Run};
 use crate::slice_cache::SliceLanes;
 use crate::tube::PartialTube;
-use crate::{Obstacle, ReachConfig, ReachTube, SamplingMode, SliceCache};
+use crate::{Obstacle, ReachConfig, ReachTube, SamplingMode, SliceCache, TubeBlame};
 
 /// Filter verdict: the candidate survives every geometric filter.
-pub(crate) const VERDICT_PASS: u32 = u32::MAX;
+const VERDICT_PASS: u32 = u32::MAX;
 /// Filter verdict: the candidate's (shrunk) body leaves the drivable area.
-pub(crate) const VERDICT_OFF_MAP: u32 = u32::MAX - 1;
+const VERDICT_OFF_MAP: u32 = u32::MAX - 1;
 // Any other verdict value is the *position within the active list* of the
 // first obstacle whose slice (or midpoint) footprint the candidate hits.
 // Positions — not raw cache indices — keep blame masks dense, and the
@@ -80,197 +82,392 @@ pub fn compute_reach_tube_cached(
     active: &[usize],
     config: &ReachConfig,
 ) -> ReachTube {
+    config.validate();
+    let active = interacting(cache, active, &ego);
     let start = PartialTube::start(ego, ego_grid(&ego, config));
-    tube_core(map, ego, start, cache, active, config, &mut NoTrace)
+    expand(map, start, cache, &active, config, None, None)
 }
 
-/// The propagation loop behind every build. It expands `tube` — a fresh
-/// start from `ego`, or the copied prefix of a derived tube — slice by
+/// The cache indices of `active` that can interact with the ego, in scan
+/// order. Obstacles whose swept broadphase bounds the ego provably cannot
+/// reach are dropped up front — for distant traffic this empties the
+/// collision loop entirely.
+pub(crate) fn interacting(cache: &SliceCache, active: &[usize], ego: &VehicleState) -> Vec<u32> {
+    active
+        .iter()
+        .copied()
+        .filter(|&i| cache.interacts(i, ego))
+        .map(|i| i as u32)
+        .collect()
+}
+
+/// The one slice loop behind every tube. It expands `tube` — a fresh start
+/// from the ego state, or a prefix copied from a traced build — slice by
 /// slice from its frontier up to the horizon, against the obstacles
-/// `active`.
+/// `active` (cache indices, in scan order), through [`expand_slice`].
 ///
-/// The tracer observes, in deterministic order, exactly the events the
-/// incremental patcher later needs: every fresh filter verdict (per parent,
-/// keyed by candidate heading bits), parent boundaries, every newly
-/// occupied grid cell, and per-slice truncation. [`NoTrace`] compiles all
-/// of it away, so the reference path is unchanged by the instrumentation.
-/// A traced build starts fresh, so its record covers every slice.
-pub(crate) fn tube_core<T: TubeTrace>(
+/// A patch passes the factual record as its `basis`, so each slice reuses
+/// the verdicts the removal cannot change. The traced build passes its
+/// `blame`, which each slice's record is appended to. Every other build
+/// passes neither and ignores the record.
+pub(crate) fn expand(
     map: &RoadMap,
-    ego: VehicleState,
     mut tube: PartialTube,
     cache: &SliceCache,
-    active: &[usize],
+    active: &[u32],
     config: &ReachConfig,
-    tracer: &mut T,
+    mut basis: Option<&mut Basis<'_>>,
+    mut blame: Option<&mut TubeBlame>,
 ) -> ReachTube {
-    config.validate();
-    iprism_contracts::check_finite_state(
-        "compute_reach_tube ego",
-        &[ego.x, ego.y, ego.theta, ego.v],
-    );
-    iprism_contracts::check_heading_normalized("compute_reach_tube ego", ego.theta);
     // Clamp and take `tan φ` once per control for the whole tube; stepping a
     // prepared control is bit-identical to stepping the raw one.
     let prepared = prepare_controls(config);
-    let n_slices = config.slices();
-    let dims = BodyDims::of(config);
-
-    // Obstacles whose swept broadphase bounds the ego provably cannot reach
-    // are dropped from the active set up front — for distant traffic this
-    // empties the collision loop entirely.
-    let active: Vec<u32> = active
-        .iter()
-        .copied()
-        .filter(|&i| cache.interacts(i, &ego))
-        .map(|i| i as u32)
-        .collect();
-    tracer.set_active(&active);
-
-    // Buffers reused across slices (the per-slice allocations dominated the
-    // small-scene profile).
-    let mut candidates: Vec<VehicleState> = Vec::new();
-    let mut cells = CellTable::new();
-    // Per-parent filter verdicts keyed by exact heading bits; holds at most
-    // one entry per distinct steering angle in the control set.
-    let mut theta_memo: Vec<(u64, u32)> = Vec::with_capacity(prepared.len());
-    // Tube-global sine/cosine memo: frontier headings recur heavily across
-    // parents and slices (straight driving keeps most of the frontier at a
-    // handful of headings), so one libm call per *distinct* heading serves
-    // the whole tube.
-    let mut trig = TrigTable::new();
-
-    for slice_idx in tube.slice_count()..=n_slices {
+    let ctx = Expansion {
+        map,
+        config,
+        prepared: &prepared,
+        dims: BodyDims::of(config),
+        active,
+    };
+    let mut scratch = SCRATCH.take();
+    if blame.is_some() {
+        // A cell turns occupied at most once per tube, so no slice can
+        // newly occupy more cells than the grid holds.
+        let cells = scratch.cells.len().max(tube.grid.len());
+        scratch.cells.resize(cells, 0);
+    }
+    check_states(&tube.frontier);
+    for slice_idx in tube.slice_count()..=config.slices() {
         // All obstacles of this slice sit in one contiguous lane segment;
         // the active list picks the participating entries by index.
         let lanes = cache
             .slice_lanes(slice_idx - 1)
             .unwrap_or(SliceLanes::EMPTY);
-
-        // Phase 1: generate every feasible candidate of this slice and mark
-        // its swept segment. Marking happens for *all* feasible transitions
-        // — including ones the ε-dedup below drops from further expansion —
-        // so the volume measure does not depend on which duplicate becomes
-        // the expansion representative.
-        //
-        // One Euler step moves the position by `v·cosθ·dt` regardless of the
-        // control, so every candidate of a parent shares one position (and
-        // one swept segment), and candidates sharing a steering angle share
-        // their heading too. The geometric filters (drivability, slice and
-        // midpoint collision) read only `(x, y, θ)` — never `v` — so their
-        // verdict is computed once per distinct heading and the segment is
-        // marked once per parent, with bit-identical results.
-        candidates.clear();
-        for &state in &tube.frontier {
-            theta_memo.clear();
-            let mut marked = false;
-            // One sin/cos of the parent heading serves every control.
-            let (sin_t, cos_t) = trig.memo_sin_cos(state.theta);
-            for &p in &prepared {
-                let cand = config
-                    .model
-                    .step_prepared(state, p, config.dt, sin_t, cos_t);
-                if !cand.is_finite() {
-                    continue;
-                }
-                let bits = cand.theta.to_bits();
-                let code = match theta_memo.iter().find(|&&(b, _)| b == bits) {
-                    Some(&(_, code)) => code,
-                    None => {
-                        let (sin_c, cos_c) = trig.memo_sin_cos(cand.theta);
-                        let code =
-                            verdict_for(map, &state, &cand, sin_c, cos_c, &dims, &lanes, &active);
-                        theta_memo.push((bits, code));
-                        tracer.record_verdict(bits, code);
-                        code
-                    }
-                };
-                if code != VERDICT_PASS {
-                    continue;
-                }
-                if !marked {
-                    tube.grid
-                        .mark_segment_with(state.position(), cand.position(), |c| {
-                            tracer.grid_cell(c);
-                        });
-                    marked = true;
-                }
-                candidates.push(cand);
-            }
-            tracer.parent_done();
+        if let Some(basis) = basis.as_deref_mut() {
+            basis.load_slice(slice_idx - 1);
         }
-
-        // Phase 2: ε-dedup (optimization 1) with a *canonical* representative
-        // per quantized state cell — the fastest candidate, ties broken by
-        // full state ordering. Canonical selection makes the expansion
-        // robust to pruning: removing candidates (because an obstacle
-        // appeared) can only replace a representative with a slower one,
-        // never with a farther-reaching one.
-        //
-        // Implemented as a single O(n) pass over a reused open-addressing
-        // table ([`CellTable`]) keyed by the packed cell id ([`cell_key`]):
-        // each insert either claims a fresh cell or replaces the stored
-        // representative when the newcomer is canonically greater, so the
-        // table ends holding exactly the per-cell canonical maximum — the
-        // same states a (cell, canonical-descending) sort followed by
-        // keep-first-per-cell selects, without the O(n log n) comparison
-        // sort. The frontier order is fixed by the canonical sort below,
-        // so probe order never leaks into the result.
-        cells.begin(candidates.len());
-        for &cand in &candidates {
-            cells.insert(cell_key(&cand, config.dedup_epsilon), cand);
+        scratch.begin_slice(tube.frontier.len(), prepared.len());
+        let out = expand_slice(
+            &ctx,
+            &lanes,
+            basis.as_deref(),
+            &tube.frontier,
+            &mut tube.grid,
+            &mut scratch,
+        );
+        if let Some(blame) = blame.as_deref_mut() {
+            blame.push_slice(&scratch, &out);
         }
-        let mut next = cells.drain();
-        next.sort_unstable_by(|a, b| canonical_order(b, a));
-        let slice_truncated = next.len() > config.max_frontier;
-        if slice_truncated {
-            next.truncate(config.max_frontier);
-            tube.truncated = true;
-        }
-        tracer.slice_done(slice_truncated);
-        tube.frontier = next;
+        tube.truncated |= out.truncated;
+        tube.frontier.clear();
+        tube.frontier
+            .extend(scratch.entries.iter().take(out.frontier).map(|e| e.1));
+        check_states(&tube.frontier);
         tube.emit_frontier();
     }
-
+    SCRATCH.set(scratch);
     tube.finish()
 }
 
-/// Observer of the propagation events a traced build records.
-///
-/// Every hook is called at a deterministic point of [`tube_core`]'s
-/// control flow, so a recording tracer reconstructs the build exactly.
-pub(crate) trait TubeTrace {
-    /// The interaction-filtered active set (cache indices) the build uses.
-    fn set_active(&mut self, active: &[u32]);
-    /// A fresh (memo-missed) filter verdict for candidate heading `bits`.
-    fn record_verdict(&mut self, bits: u64, code: u32);
-    /// The current parent's control loop finished.
-    fn parent_done(&mut self);
-    /// Grid cell `cell` became newly occupied.
-    fn grid_cell(&mut self, cell: u32);
-    /// The slice finished phase 2; `truncated` is its frontier-cap flag.
-    fn slice_done(&mut self, truncated: bool);
+/// The state contracts of every state a tube holds (validating builds
+/// only): finite components and a normalized heading. The kernel steps
+/// without contracts, so the loop checks each frontier it emits.
+fn check_states(states: &[VehicleState]) {
+    for s in states {
+        iprism_contracts::check_finite_state("reach-tube state", &[s.x, s.y, s.theta, s.v]);
+        iprism_contracts::check_heading_normalized("reach-tube state", s.theta);
+    }
 }
 
-/// The zero-cost tracer of the reference path: every hook is a no-op.
-pub(crate) struct NoTrace;
+/// The loop-invariant inputs of [`expand_slice`].
+struct Expansion<'a> {
+    map: &'a RoadMap,
+    config: &'a ReachConfig,
+    prepared: &'a [PreparedControl],
+    dims: BodyDims,
+    /// The obstacles the build filters against: cache indices, in scan
+    /// order.
+    active: &'a [u32],
+}
 
-impl TubeTrace for NoTrace {
-    #[inline]
-    fn set_active(&mut self, _active: &[u32]) {}
-    #[inline]
-    fn record_verdict(&mut self, _bits: u64, _code: u32) {}
-    #[inline]
-    fn parent_done(&mut self) {}
-    #[inline]
-    fn grid_cell(&mut self, _cell: u32) {}
-    #[inline]
-    fn slice_done(&mut self, _truncated: bool) {}
+thread_local! {
+    /// Each thread's [`Scratch`], kept from one tube to the next. Sizing it
+    /// afresh for every tube allocates and zero-fills about 0.5 MB at the
+    /// default frontier cap, which cost 10–14% of a default-preset build.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// The caller-sized buffers [`expand_slice`] works in, reused across slices
+/// and tubes (the kernel itself never allocates).
+#[derive(Default)]
+pub(crate) struct Scratch {
+    /// The slice's verdict memo, parent after parent: the fresh (heading
+    /// bits, verdict) pairs of a parent are its verdict run.
+    pub(crate) bits: Vec<u64>,
+    pub(crate) codes: Vec<u32>,
+    /// Per-parent end offsets into `bits`/`codes`.
+    pub(crate) ends: Vec<u32>,
+    /// The grid cells the slice newly occupied, in mark order, as far as
+    /// the log reaches. A traced build sizes it to its grid; other builds
+    /// ignore it.
+    pub(crate) cells: Vec<u32>,
+    /// The ε-dedup table: open-addressing slots of `(generation, entry
+    /// index)`. A slot is live iff its tag equals `generation`, so clearing
+    /// between slices is O(1).
+    slots: Vec<(u32, u32)>,
+    generation: u32,
+    /// `(cell key, representative)` of every dedup cell claimed this
+    /// slice, in first-claim order; the kernel leaves the new frontier,
+    /// sorted, at the head.
+    entries: Vec<((u128, u128), VehicleState)>,
+}
+
+impl Scratch {
+    /// Readies the buffers for a slice of `parents` parents with `controls`
+    /// candidates each, and starts a new dedup generation at a load factor
+    /// of at most one half.
+    fn begin_slice(&mut self, parents: usize, controls: usize) {
+        let candidates = parents * controls;
+        if self.entries.len() < candidates {
+            self.entries.resize(candidates, Default::default());
+            self.bits.resize(candidates, 0);
+            self.codes.resize(candidates, 0);
+        }
+        if self.ends.len() < parents {
+            self.ends.resize(parents, 0);
+        }
+        let slots = (candidates.max(1) * 2).next_power_of_two();
+        if self.slots.len() < slots || self.generation == u32::MAX {
+            // Every slot of a fresh table is tagged 0, so none is live.
+            self.slots.clear();
+            self.slots.resize(slots, (0, 0));
+            self.generation = 1;
+        } else {
+            self.generation += 1;
+        }
+    }
+}
+
+/// The counts [`expand_slice`] reports next to what it left in [`Scratch`].
+#[derive(Default)]
+pub(crate) struct SliceOutcome {
+    /// States in the new frontier: the head of `Scratch::entries`.
+    frontier: usize,
+    /// `true` when the frontier cap cut the slice.
+    pub(crate) truncated: bool,
+    /// Parents expanded, one `Scratch::ends` entry each.
+    pub(crate) parents: usize,
+    /// Fresh verdicts, the memo entries in `Scratch::bits`/`codes`.
+    pub(crate) verdicts: usize,
+    /// Grid cells newly occupied, logged only as far as `Scratch::cells`
+    /// reaches.
+    pub(crate) cells: usize,
+    /// Blame mask of the fresh verdicts: bit `p` for a blocking active
+    /// position `p < 64`, all-ones for any position ≥ 64. Meaningful for
+    /// fresh builds, whose codes index their own active list.
+    pub(crate) mask: u64,
+}
+
+/// Expands one slice: every prepared control is stepped from every parent
+/// in `prev`, the candidates are filtered, the swept segments marked on
+/// `grid`, and the survivors ε-deduplicated into the new frontier, which the
+/// kernel leaves sorted at the head of `scratch.entries`.
+///
+/// * **Verdicts.** The filters read only a candidate's `(x, y, θ)`, never
+///   `v`, and one Euler step moves every candidate of a parent to the same
+///   position. So siblings sharing a heading share their verdict, and a
+///   per-parent memo keyed by exact heading bits holds one verdict per
+///   distinct steering angle. A memo miss is a *fresh* verdict
+///   ([`resolve_verdict`]): without a `basis` the whole filter chain runs,
+///   while a patch reuses the factual verdict wherever the removal cannot
+///   change it.
+/// * **Volume.** The segment of a parent is marked once, on its first
+///   passing candidate — for *all* feasible transitions, including ones the
+///   dedup below drops — so the volume does not depend on which duplicate
+///   becomes the expansion representative.
+/// * **Dedup** (optimization 1). Each dedup cell ([`cell_key`]) keeps a
+///   *canonical* representative — the fastest candidate, ties broken by
+///   full state ordering ([`canonical_order`]) — through a
+///   generation-tagged open-addressing table. Removing candidates (because
+///   an obstacle appeared) can therefore only replace a representative with
+///   a slower one, never with a farther-reaching one. The representatives
+///   are then sorted canonically descending and capped at `max_frontier`,
+///   so probe order never leaks into the result.
+///
+/// The slice's record stays in `scratch` for a traced build to keep: each
+/// parent's memo entries (its verdict run) and run end, the newly occupied
+/// cells, and the returned blame mask and truncation flag.
+///
+/// `scratch` must be sized by [`Scratch::begin_slice`] for `prev`. The
+/// kernel never allocates or panics: writes past a buffer are dropped,
+/// except that new cells are still counted, so a caller that logs cells can
+/// tell when its log was short.
+// iprism: hot-path(no-panic, no-alloc, deterministic)
+fn expand_slice(
+    ctx: &Expansion<'_>,
+    lanes: &SliceLanes<'_>,
+    basis: Option<&Basis<'_>>,
+    prev: &[VehicleState],
+    grid: &mut Grid2,
+    scratch: &mut Scratch,
+) -> SliceOutcome {
+    let config = ctx.config;
+    let mut out = SliceOutcome {
+        parents: prev.len(),
+        ..SliceOutcome::default()
+    };
+    let mut claimed = 0usize;
+    for (k, &state) in prev.iter().enumerate() {
+        let run = basis.and_then(|b| b.run(k, &state));
+        let first = out.verdicts;
+        let mut marked = false;
+        // One sin/cos of the parent heading serves every control.
+        let (sin_t, cos_t) = state.theta.sin_cos();
+        for &p in ctx.prepared {
+            let cand = config
+                .model
+                .step_prepared_unchecked(state, p, config.dt, sin_t, cos_t);
+            if !cand.is_finite() {
+                continue;
+            }
+            let bits = cand.theta.to_bits();
+            let code = match memo_lookup(scratch, first, out.verdicts, bits) {
+                Some(code) => code,
+                None => {
+                    let code = resolve_verdict(ctx, lanes, run, &state, &cand, bits);
+                    if let (Some(b), Some(c)) = (
+                        scratch.bits.get_mut(out.verdicts),
+                        scratch.codes.get_mut(out.verdicts),
+                    ) {
+                        (*b, *c) = (bits, code);
+                        out.verdicts += 1;
+                    }
+                    if code < VERDICT_OFF_MAP {
+                        // A blocking verdict blames the active position.
+                        // Positions past the mask width saturate: every
+                        // actor's copied prefix ends here, never the other
+                        // way around.
+                        out.mask |= if code < 64 { 1u64 << code } else { u64::MAX };
+                    }
+                    code
+                }
+            };
+            if code != VERDICT_PASS {
+                continue;
+            }
+            if !marked {
+                grid.mark_segment_with(state.position(), cand.position(), |cell| {
+                    if let Some(slot) = scratch.cells.get_mut(out.cells) {
+                        *slot = cell;
+                    }
+                    out.cells += 1;
+                });
+                marked = true;
+            }
+            claimed = claim_cell(
+                scratch,
+                claimed,
+                cell_key(&cand, config.dedup_epsilon),
+                cand,
+            );
+        }
+        if let Some(end) = scratch.ends.get_mut(k) {
+            *end = out.verdicts as u32;
+        }
+    }
+    if let Some(frontier) = scratch.entries.get_mut(..claimed) {
+        frontier.sort_unstable_by(|a, b| canonical_order(&b.1, &a.1));
+    }
+    out.frontier = claimed.min(config.max_frontier);
+    out.truncated = claimed > config.max_frontier;
+    out
+}
+
+/// The memoized verdict of heading `bits` among the current parent's fresh
+/// verdicts, memo entries `first..end`.
+fn memo_lookup(scratch: &Scratch, first: usize, end: usize, bits: u64) -> Option<u32> {
+    let i = scratch
+        .bits
+        .get(first..end)?
+        .iter()
+        .position(|&b| b == bits)?;
+    scratch.codes.get(first + i).copied()
+}
+
+/// The fresh verdict of one memo-missed candidate heading. Without a
+/// recorded `run` the whole filter chain runs. A patch reuses the factual
+/// verdict of the same parent and heading wherever removing the actor
+/// provably cannot change it:
+///
+/// * recorded pass → pass (fewer obstacles cannot block more),
+/// * recorded off-map → off-map (the map did not change),
+/// * recorded blocking by a *different* actor → still blocked (that actor
+///   is still active),
+/// * recorded blocking by the removed actor → only the obstacle scans
+///   re-run (drivability passed: a drive failure records off-map before any
+///   obstacle scan),
+/// * unrecorded heading or novel parent → the whole filter chain runs.
+fn resolve_verdict(
+    ctx: &Expansion<'_>,
+    lanes: &SliceLanes<'_>,
+    run: Option<Run<'_>>,
+    state: &VehicleState,
+    cand: &VehicleState,
+    bits: u64,
+) -> u32 {
+    match run.and_then(|r| Some((r.recorded(bits)?, r.removed))) {
+        Some((VERDICT_PASS, _)) => VERDICT_PASS,
+        Some((VERDICT_OFF_MAP, _)) => VERDICT_OFF_MAP,
+        Some((code, removed)) if code != removed => code,
+        Some(_) => obstacles_verdict(state, cand, &ctx.dims, lanes, ctx.active),
+        None => {
+            let (sin_c, cos_c) = cand.theta.sin_cos();
+            verdict_for(
+                ctx.map, state, cand, sin_c, cos_c, &ctx.dims, lanes, ctx.active,
+            )
+        }
+    }
+}
+
+/// Files `cand` under its dedup cell `key` in the slice's table: an
+/// unclaimed cell appends an entry, a claimed one keeps the canonically
+/// greater state. Returns the new number of claimed cells.
+fn claim_cell(
+    scratch: &mut Scratch,
+    claimed: usize,
+    key: (u128, u128),
+    cand: VehicleState,
+) -> usize {
+    let mask = scratch.slots.len().wrapping_sub(1);
+    let mut idx = (hash_cell(key) as usize) & mask;
+    for _ in 0..scratch.slots.len() {
+        let Some(slot) = scratch.slots.get_mut(idx) else {
+            break;
+        };
+        if slot.0 != scratch.generation {
+            if let Some(entry) = scratch.entries.get_mut(claimed) {
+                *slot = (scratch.generation, claimed as u32);
+                *entry = (key, cand);
+                return claimed + 1;
+            }
+            break;
+        }
+        if let Some(entry) = scratch.entries.get_mut(slot.1 as usize) {
+            if entry.0 == key {
+                if canonical_order(&cand, &entry.1) == Ordering::Greater {
+                    entry.1 = cand;
+                }
+                return claimed;
+            }
+        }
+        idx = (idx + 1) & mask;
+    }
+    claimed
 }
 
 /// The per-tube prepared control set (mode-dependent sampling, clamped and
 /// `tan φ`-folded once per control).
-pub(crate) fn prepare_controls(config: &ReachConfig) -> Vec<PreparedControl> {
+fn prepare_controls(config: &ReachConfig) -> Vec<PreparedControl> {
     let limits = &config.model.limits;
     // Borrow the fixed-size control arrays in place instead of allocating a
     // Vec per tube; only the uniform lattice needs heap storage.
@@ -314,15 +511,15 @@ pub(crate) fn ego_grid(ego: &VehicleState, config: &ReachConfig) -> Grid2 {
 /// body (roads have usable margins; without the allowance every tilted
 /// state near a lane edge dies and the tube loses all lateral spread) and
 /// the full collision footprint.
-pub(crate) struct BodyDims {
-    pub(crate) drive_len: Meters,
-    pub(crate) drive_wid: Meters,
-    pub(crate) ego_len: Meters,
-    pub(crate) ego_wid: Meters,
+struct BodyDims {
+    drive_len: Meters,
+    drive_wid: Meters,
+    ego_len: Meters,
+    ego_wid: Meters,
 }
 
 impl BodyDims {
-    pub(crate) fn of(config: &ReachConfig) -> Self {
+    fn of(config: &ReachConfig) -> Self {
         let (ego_len, ego_wid) = config.ego_dims;
         BodyDims {
             drive_len: (ego_len - 2.0 * config.drivable_margin).max(Meters::new(0.1)),
@@ -337,7 +534,7 @@ impl BodyDims {
 /// `VehicleState::footprint`, built through the assert-free [`Obb::raw`]
 /// so certified panic-free kernels can construct it.
 #[inline]
-pub(crate) fn body_box(s: &VehicleState, length: Meters, width: Meters) -> Obb {
+fn body_box(s: &VehicleState, length: Meters, width: Meters) -> Obb {
     Obb::raw(Pose::new(s.x, s.y, Radians::raw(s.theta)), length, width)
 }
 
@@ -348,7 +545,7 @@ pub(crate) fn body_box(s: &VehicleState, length: Meters, width: Meters) -> Obb {
 /// `cos_c` must be `cand.theta.sin_cos()` (callers may memoize; the memo
 /// is bit-identical).
 #[allow(clippy::too_many_arguments)] // internal hot-path helper
-pub(crate) fn verdict_for(
+fn verdict_for(
     map: &RoadMap,
     state: &VehicleState,
     cand: &VehicleState,
@@ -369,7 +566,7 @@ pub(crate) fn verdict_for(
 /// scan followed by the anti-tunnelling midpoint scan. Returns
 /// [`VERDICT_PASS`] or the *active-list position* of the first blocking
 /// obstacle.
-pub(crate) fn obstacles_verdict(
+fn obstacles_verdict(
     state: &VehicleState,
     cand: &VehicleState,
     dims: &BodyDims,
@@ -431,111 +628,6 @@ fn zorder(v: i64) -> u64 {
     (v as u64) ^ (1 << 63)
 }
 
-/// Memo of `θ.sin_cos()` keyed by the exact bit pattern of `θ`, kept sorted
-/// for binary-search lookup. On a hit it returns the pair libm produced for
-/// those same input bits, so memoized trig is bit-identical to calling
-/// `sin_cos` every time; only the (deterministic) call count changes.
-///
-/// The method is named `memo_sin_cos` (not `sin_cos`) so certified kernels
-/// calling the primitive `f64::sin_cos` resolve unambiguously.
-struct TrigTable {
-    entries: Vec<(u64, f64, f64)>,
-}
-
-impl TrigTable {
-    fn new() -> Self {
-        TrigTable {
-            entries: Vec::new(),
-        }
-    }
-
-    fn memo_sin_cos(&mut self, theta: f64) -> (f64, f64) {
-        let bits = theta.to_bits();
-        match self.entries.binary_search_by_key(&bits, |e| e.0) {
-            Ok(i) => (self.entries[i].1, self.entries[i].2),
-            Err(i) => {
-                let (s, c) = theta.sin_cos();
-                self.entries.insert(i, (bits, s, c));
-                (s, c)
-            }
-        }
-    }
-}
-
-/// Reusable open-addressing scratch table mapping ε-dedup cells to their
-/// canonical representative (the [`canonical_order`] maximum of every
-/// candidate inserted for that cell).
-///
-/// Slots carry a generation tag so clearing between slices is O(1), and
-/// hold only an index into a dense entry list of the cells claimed this
-/// generation: the table stays 8 bytes a slot, and extraction touches only
-/// occupied entries. The hash only steers probe placement — lookups compare
-/// the full key, and the caller re-sorts the extracted states — so the
-/// result is independent of the hash function and probe order.
-struct CellTable {
-    /// `(generation, entry index)`; a slot is live iff its tag equals the
-    /// table's current generation.
-    slots: Vec<(u32, u32)>,
-    /// `(key, representative)` of every cell claimed this generation, in
-    /// first-insertion order.
-    entries: Vec<((u128, u128), VehicleState)>,
-    generation: u32,
-}
-
-impl CellTable {
-    fn new() -> Self {
-        CellTable {
-            slots: Vec::new(),
-            entries: Vec::new(),
-            generation: 0,
-        }
-    }
-
-    /// Starts a new slice: O(1) clear, growing to hold `n` inserts at a load
-    /// factor of at most one half.
-    fn begin(&mut self, n: usize) {
-        let want = (n.max(1) * 2).next_power_of_two();
-        if self.slots.len() < want || self.generation == u32::MAX {
-            self.slots.clear();
-            self.slots.resize(want, (0, 0));
-            self.generation = 1;
-        } else {
-            self.generation += 1;
-        }
-        self.entries.clear();
-    }
-
-    /// Inserts a candidate, keeping the canonical maximum per cell.
-    fn insert(&mut self, key: (u128, u128), cand: VehicleState) {
-        let mask = self.slots.len() - 1;
-        let mut idx = (hash_cell(key) as usize) & mask;
-        loop {
-            let slot = &mut self.slots[idx];
-            if slot.0 != self.generation {
-                *slot = (self.generation, self.entries.len() as u32);
-                self.entries.push((key, cand));
-                return;
-            }
-            let entry = &mut self.entries[slot.1 as usize];
-            if entry.0 == key {
-                if canonical_order(&cand, &entry.1) == std::cmp::Ordering::Greater {
-                    entry.1 = cand;
-                }
-                return;
-            }
-            idx = (idx + 1) & mask;
-        }
-    }
-
-    /// Extracts the representatives (in unspecified order) and clears the
-    /// entry list.
-    fn drain(&mut self) -> Vec<VehicleState> {
-        let next = self.entries.iter().map(|e| e.1).collect();
-        self.entries.clear();
-        next
-    }
-}
-
 /// Mixes a packed cell key into a table index (splitmix-style finalizer).
 /// Hash quality only affects probe length, never any result.
 #[inline]
@@ -552,10 +644,10 @@ fn hash_cell(key: (u128, u128)) -> u64 {
 /// The ε-dedup cell of a state as a pair of packed integers: each quantized
 /// coordinate of [`quantize`] is embedded order-preserving in a `u64` and
 /// packed high-to-low, so two states share a `cell_key` iff they share a
-/// `quantize` tuple (the equality the [`CellTable`] dedups on) and the
+/// `quantize` tuple (the equality the dedup table matches on) and the
 /// lexicographic key order equals the tuple order (so key-sorted groupings
 /// remain available at two machine-word comparisons per key).
-pub(crate) fn cell_key(s: &VehicleState, eps: f64) -> (u128, u128) {
+fn cell_key(s: &VehicleState, eps: f64) -> (u128, u128) {
     let (qx, qy, qt, qv) = quantize(s, eps);
     (
         (u128::from(zorder(qx)) << 64) | u128::from(zorder(qy)),

@@ -8,27 +8,27 @@
 //! from scratch.
 //!
 //! This module derives every tube but the factual one from a single traced
-//! build:
+//! build. All of them run the one slice kernel of the reference path; only
+//! their start and the record they read or write differ:
 //!
 //! 1. [`compute_reach_tube_traced`] runs the ordinary factual build once
-//!    while recording *blame*: for every fresh filter verdict, which
-//!    obstacle (by position in the interaction-filtered active list)
-//!    produced the blocking, plus the exact per-parent verdict runs, the
-//!    newly occupied grid cells and per-slice truncation flags
-//!    ([`TubeBlame`]).
+//!    and keeps each slice's record as *blame* ([`TubeBlame`]): every
+//!    parent's fresh verdict run, which obstacle (by position in the
+//!    interaction-filtered active list) blocked a candidate, the newly
+//!    occupied grid cells and per-slice truncation flags.
 //! 2. [`patch_counterfactual`] then derives the tube with actor `i` removed
 //!    by revisiting **only** what actor `i` touched. The leading slices
 //!    whose blame mask lacks `i` are copied verbatim from the factual
 //!    tube's SoA lanes and their recorded grid cells replayed; from the
-//!    first affected slice on, the certified [`patch_slice`] kernel
-//!    re-derives the frontier, reusing recorded verdicts wherever the
-//!    removal provably cannot change them.
+//!    first affected slice on, the kernel re-derives the frontier with the
+//!    factual record as its [`Basis`], reusing recorded verdicts wherever
+//!    the removal provably cannot change them.
 //! 3. [`derive_empty_tube`] derives the empty-world tube `T^∅` the same
 //!    way: the leading slices in which no actor blocked anything are
-//!    copied, and the build kernel itself resumes at the first blamed
-//!    slice with nothing active. (A patch removing every actor would reuse
-//!    almost no recorded verdict once the frontiers diverge, and pays a
-//!    sort per slice: it measured slower than a fresh build.)
+//!    copied, and the build resumes at the first blamed slice with nothing
+//!    active. (A patch removing every actor would reuse almost no recorded
+//!    verdict once the frontiers diverge: it measured slower than a fresh
+//!    build.)
 //!
 //! The derived tubes are **bit-identical** to the reference rebuild
 //! ([`crate::compute_reach_tube_cached`] over `all minus i`, or over
@@ -39,15 +39,12 @@
 //! tests at the bottom and the golden FNV suites in `crates/scenarios` gate
 //! this equivalence.
 
-use iprism_dynamics::{BicycleModel, PreparedControl, VehicleState};
-use iprism_geom::{Grid2, Seconds};
+use std::cmp::Ordering;
+
+use iprism_dynamics::VehicleState;
 use iprism_map::RoadMap;
 
-use crate::compute::{
-    canonical_order, cell_key, ego_grid, obstacles_verdict, prepare_controls, tube_core,
-    verdict_for, BodyDims, NoTrace, TubeTrace, VERDICT_OFF_MAP, VERDICT_PASS,
-};
-use crate::slice_cache::SliceLanes;
+use crate::compute::{canonical_order, ego_grid, expand, interacting, Scratch, SliceOutcome};
 use crate::tube::PartialTube;
 use crate::{ReachConfig, ReachTube, SliceCache};
 
@@ -64,8 +61,7 @@ pub struct TubeBlame {
     /// *positions in this list*.
     active: Vec<u32>,
     /// Flat verdict lanes: candidate heading bits and the verdict code
-    /// ([`VERDICT_PASS`], [`VERDICT_OFF_MAP`] or a blaming active
-    /// position), in recording order.
+    /// (pass, off-map or a blaming active position), in recording order.
     verdict_bits: Vec<u64>,
     verdict_codes: Vec<u32>,
     /// Per-parent end offsets into the verdict lanes (cumulative across
@@ -87,14 +83,6 @@ pub struct TubeBlame {
 }
 
 impl TubeBlame {
-    fn new() -> Self {
-        TubeBlame {
-            slice_parents: vec![0],
-            slice_cells: vec![0],
-            ..TubeBlame::default()
-        }
-    }
-
     /// The interaction-filtered active set (cache indices) of the traced
     /// build.
     pub fn active(&self) -> &[u32] {
@@ -130,56 +118,41 @@ impl TubeBlame {
             .position(|&m| m & bits != 0)
             .unwrap_or(self.masks.len())
     }
-}
 
-/// The recording tracer of [`compute_reach_tube_traced`].
-struct BlameRecorder<'a> {
-    blame: &'a mut TubeBlame,
-    mask: u64,
-}
-
-impl TubeTrace for BlameRecorder<'_> {
-    fn set_active(&mut self, active: &[u32]) {
-        self.blame.active.clear();
-        self.blame.active.extend_from_slice(active);
-    }
-
-    fn record_verdict(&mut self, bits: u64, code: u32) {
-        self.blame.verdict_bits.push(bits);
-        self.blame.verdict_codes.push(code);
-        if code < VERDICT_OFF_MAP {
-            // A blocking verdict: blame the active position. Positions past
-            // the mask width saturate — every actor's fast path dies on
-            // this slice, never the other way around.
-            self.mask |= if code < 64 { 1u64 << code } else { u64::MAX };
-        }
-    }
-
-    fn parent_done(&mut self) {
-        self.blame
-            .parent_ends
-            .push(self.blame.verdict_bits.len() as u32);
-    }
-
-    fn grid_cell(&mut self, cell: u32) {
-        self.blame.cells.push(cell);
-    }
-
-    fn slice_done(&mut self, truncated: bool) {
-        self.blame
-            .slice_parents
-            .push(self.blame.parent_ends.len() as u32);
-        self.blame.slice_cells.push(self.blame.cells.len() as u32);
-        self.blame.masks.push(self.mask);
-        self.blame.truncated.push(truncated);
-        self.mask = 0;
+    /// Appends the record of one traced slice, as the kernel left it in
+    /// `scratch` and `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the kernel counted more new grid cells than the cell log
+    /// held: the record must never be silently truncated.
+    pub(crate) fn push_slice(&mut self, scratch: &Scratch, out: &SliceOutcome) {
+        assert!(
+            out.cells <= scratch.cells.len(),
+            "cell log overflow: {} new cells, room for {}",
+            out.cells,
+            scratch.cells.len()
+        );
+        let base = self.verdict_bits.len() as u32;
+        self.verdict_bits
+            .extend_from_slice(&scratch.bits[..out.verdicts]);
+        self.verdict_codes
+            .extend_from_slice(&scratch.codes[..out.verdicts]);
+        self.parent_ends
+            .extend(scratch.ends[..out.parents].iter().map(|&end| base + end));
+        self.slice_parents.push(self.parent_ends.len() as u32);
+        self.cells.extend_from_slice(&scratch.cells[..out.cells]);
+        self.slice_cells.push(self.cells.len() as u32);
+        self.masks.push(out.mask);
+        self.truncated.push(out.truncated);
     }
 }
 
 /// [`crate::compute_reach_tube_cached`] plus a [`TubeBlame`] record.
 ///
-/// The returned tube is bit-identical to the untraced call — the tracer
-/// only observes. The blame record feeds [`patch_counterfactual`].
+/// The returned tube is bit-identical to the untraced call — the record
+/// only keeps what the kernel produced anyway. It feeds
+/// [`patch_counterfactual`] and [`derive_empty_tube`].
 pub fn compute_reach_tube_traced(
     map: &RoadMap,
     ego: VehicleState,
@@ -187,15 +160,16 @@ pub fn compute_reach_tube_traced(
     active: &[usize],
     config: &ReachConfig,
 ) -> (ReachTube, TubeBlame) {
-    let mut blame = TubeBlame::new();
-    let tube = {
-        let mut recorder = BlameRecorder {
-            blame: &mut blame,
-            mask: 0,
-        };
-        let start = PartialTube::start(ego, ego_grid(&ego, config));
-        tube_core(map, ego, start, cache, active, config, &mut recorder)
+    config.validate();
+    let active = interacting(cache, active, &ego);
+    let mut blame = TubeBlame {
+        active: active.clone(),
+        slice_parents: vec![0],
+        slice_cells: vec![0],
+        ..TubeBlame::default()
     };
+    let start = PartialTube::start(ego, ego_grid(&ego, config));
+    let tube = expand(map, start, cache, &active, config, None, Some(&mut blame));
     (tube, blame)
 }
 
@@ -228,8 +202,8 @@ fn copy_prefix(
 /// are the factual ones, the slice, the grid cells it marks and its
 /// truncation flag are the factual ones. Every slice before
 /// [`TubeBlame::first_blamed_slice`] is therefore copied, and the build
-/// kernel resumes from there with nothing active. With no blamed slice,
-/// `T^∅` is the factual tube.
+/// resumes from there with nothing active. With no blamed slice, `T^∅` is
+/// the factual tube.
 ///
 /// `tube` and `blame` must come from one [`compute_reach_tube_traced`] call
 /// over the same `cache` and `config`.
@@ -240,6 +214,7 @@ pub fn derive_empty_tube(
     cache: &SliceCache,
     config: &ReachConfig,
 ) -> ReachTube {
+    config.validate();
     let Some(first) = blame.first_blamed_slice() else {
         return tube.clone();
     };
@@ -247,7 +222,7 @@ pub fn derive_empty_tube(
         return tube.clone();
     };
     let start = copy_prefix(tube, blame, &ego, first - 1, config);
-    tube_core(map, ego, start, cache, &[], config, &mut NoTrace)
+    expand(map, start, cache, &[], config, None, None)
 }
 
 /// Derives the counterfactual tube with cached obstacle `removed` deleted
@@ -257,8 +232,8 @@ pub fn derive_empty_tube(
 /// `tube` and `blame` must come from one [`compute_reach_tube_traced`] call
 /// over the same `cache` and `config` (the STI evaluator guarantees this by
 /// construction). Slices provably untouched by `removed` are copied from
-/// the factual tube; the rest run through the certified [`patch_slice`]
-/// kernel, which reuses every recorded verdict the removal cannot change.
+/// the factual tube; the rest are expanded with the factual record as the
+/// [`Basis`], reusing every recorded verdict the removal cannot change.
 pub fn patch_counterfactual(
     map: &RoadMap,
     tube: &ReachTube,
@@ -281,290 +256,99 @@ pub fn patch_counterfactual(
         .copied()
         .filter(|&c| c != removed_u32)
         .collect();
-    let fslices = tube.slices();
-    let Some(ego) = fslices.get(0).and_then(|s| s.get(0)) else {
+    let Some(ego) = tube.slices().get(0).and_then(|s| s.get(0)) else {
         return tube.clone();
     };
-    let prepared = prepare_controls(config);
     // Until the first slice blaming the removed actor, every slice is the
     // factual one: its parents are, and none of its verdicts involved the
-    // actor.
+    // actor. From there on the frontier may grow past the factual one, so
+    // every later slice is patched.
     let last = blame.unblamed_prefix(1u64 << removed_pos.min(63));
-    let mut out = copy_prefix(tube, blame, &ego, last, config);
-
-    // Scratch the kernel works in (it cannot allocate): a per-parent
-    // verdict memo and a candidate buffer sized for the worst slice.
-    let empty_state = VehicleState::new(0.0, 0.0, 0.0, 0.0);
-    let mut memo: Vec<(u64, u32)> = vec![(0, 0); prepared.len()];
-    let mut buf: Vec<((u128, u128), VehicleState)> =
-        vec![((0, 0), empty_state); config.max_frontier.max(1) * prepared.len()];
-
-    let ctx = PatchCtx {
-        map,
-        model: &config.model,
-        prepared: &prepared,
-        dt: config.dt,
-        dedup_epsilon: config.dedup_epsilon,
-        max_frontier: config.max_frontier,
-        dims: BodyDims::of(config),
+    let start = copy_prefix(tube, blame, &ego, last, config);
+    let mut basis = Basis {
+        tube,
         blame,
-        reduced: &reduced,
-        removed_pos,
+        removed: removed_pos,
+        parents: Vec::new(),
+        first: 0,
     };
-
-    // From the first affected slice on, the frontier may grow past the
-    // factual one, so every later slice is patched.
-    let mut factual_parents: Vec<VehicleState> = Vec::new();
-    for slice_idx in out.slice_count()..=config.slices() {
-        let so = slice_idx - 1;
-        factual_parents.clear();
-        if let Some(fparents) = fslices.get(so) {
-            factual_parents.extend(fparents.iter());
-        }
-        let parents_base = blame.slice_parents.get(so).copied().unwrap_or(0) as usize;
-        let lanes = cache.slice_lanes(so).unwrap_or(SliceLanes::EMPTY);
-        let needed = out.frontier.len() * prepared.len();
-        if buf.len() < needed {
-            buf.resize(needed, ((0, 0), empty_state));
-        }
-        let (frontier_len, slice_truncated) = patch_slice(
-            &ctx,
-            &lanes,
-            parents_base,
-            &out.frontier,
-            &factual_parents,
-            &mut out.grid,
-            &mut memo,
-            &mut buf,
-        );
-        out.truncated |= slice_truncated;
-        out.frontier.clear();
-        out.frontier
-            .extend(buf.iter().take(frontier_len).map(|entry| entry.1));
-        out.emit_frontier();
-    }
-    out.finish()
+    expand(map, start, cache, &reduced, config, Some(&mut basis), None)
 }
 
-/// The loop-invariant inputs of [`patch_slice`].
-struct PatchCtx<'a> {
-    map: &'a RoadMap,
-    model: &'a BicycleModel,
-    prepared: &'a [PreparedControl],
-    dt: Seconds,
-    dedup_epsilon: f64,
-    max_frontier: usize,
-    dims: BodyDims,
+/// The factual record a patch re-derives from: the traced build's tube and
+/// blame, the removed actor's position in the traced active list, and the
+/// factual parents of the slice being expanded.
+pub(crate) struct Basis<'a> {
+    tube: &'a ReachTube,
     blame: &'a TubeBlame,
-    /// The counterfactual active set: the factual active list minus the
-    /// removed actor, original order preserved.
-    reduced: &'a [u32],
-    /// The removed actor's position in the *factual* active list — the
-    /// code recorded blames refer to.
-    removed_pos: u32,
+    removed: u32,
+    /// The factual frontier the current slice expands (canonical
+    /// descending), and the record index of its first parent.
+    parents: Vec<VehicleState>,
+    first: usize,
 }
 
-/// Re-derives one counterfactual slice from its (possibly diverged)
-/// frontier, reusing recorded factual verdicts wherever removing the actor
-/// provably cannot change them:
-///
-/// * recorded pass → pass (fewer obstacles cannot block more),
-/// * recorded off-map → off-map (the map did not change),
-/// * recorded blocking by a *different* actor → still blocked (that actor
-///   is still active),
-/// * recorded blocking by the removed actor → only the obstacle scans
-///   re-run, against the reduced active set (drivability already passed),
-/// * unrecorded heading or novel parent → the full filter chain runs.
-///
-/// Writes the deduplicated, canonically sorted frontier into the prefix of
-/// `buf` and returns `(frontier_len, truncated)`. `memo` must hold at least
-/// one slot per prepared control; `buf` at least `prev.len() ×
-/// prepared.len()` (the wrapper sizes both — the kernel never allocates and
-/// silently drops overflow rather than panicking).
-#[allow(clippy::too_many_arguments)] // internal hot-path kernel
-                                     // iprism: hot-path(no-panic, no-alloc, deterministic)
-fn patch_slice(
-    ctx: &PatchCtx<'_>,
-    lanes: &SliceLanes<'_>,
-    parents_base: usize,
-    prev: &[VehicleState],
-    factual_parents: &[VehicleState],
-    grid: &mut Grid2,
-    memo: &mut [(u64, u32)],
-    buf: &mut [((u128, u128), VehicleState)],
-) -> (usize, bool) {
-    let mut cursor = 0usize;
-    for (k, &state) in prev.iter().enumerate() {
-        // The recorded verdict run of this parent, when it appeared in the
-        // factual frontier. On the first patched slice the frontiers are
-        // identical, so the run is simply the k-th of the slice; diverged
-        // frontiers locate their factual twin by exact binary search
-        // (canonical order ties are bit-identical states).
-        let run = match find_factual_parent(factual_parents, k, &state) {
-            Some(j) => {
-                let g = parents_base + j;
-                let lo = ctx
-                    .blame
-                    .parent_ends
-                    .get(g.wrapping_sub(1))
-                    .copied()
-                    .unwrap_or(0) as usize;
-                let hi = ctx.blame.parent_ends.get(g).copied().unwrap_or(0) as usize;
-                match (
-                    ctx.blame.verdict_bits.get(lo..hi),
-                    ctx.blame.verdict_codes.get(lo..hi),
-                ) {
-                    (Some(bits), Some(codes)) => Some((bits, codes)),
-                    _ => None,
-                }
-            }
-            None => None,
+impl Basis<'_> {
+    /// Loads the factual parents of the slice expanding slice `parent_slice`.
+    pub(crate) fn load_slice(&mut self, parent_slice: usize) {
+        self.parents.clear();
+        if let Some(parents) = self.tube.slices().get(parent_slice) {
+            self.parents.extend(parents.iter());
+        }
+        self.first = self
+            .blame
+            .slice_parents
+            .get(parent_slice)
+            .copied()
+            .unwrap_or(0) as usize;
+    }
+
+    /// The verdict run the factual build recorded for `state`, the `k`-th
+    /// parent of the current slice, when it expanded the same parent. On
+    /// the first patched slice the frontiers are identical, so the twin is
+    /// simply the `k`-th factual parent; diverged frontiers locate it by
+    /// exact binary search (canonical order ties are bit-identical states).
+    pub(crate) fn run(&self, k: usize, state: &VehicleState) -> Option<Run<'_>> {
+        let j = match self.parents.get(k) {
+            Some(twin) if canonical_order(twin, state) == Ordering::Equal => k,
+            _ => self
+                .parents
+                .binary_search_by(|probe| canonical_order(probe, state).reverse())
+                .ok()?,
         };
-        let mut memo_len = 0usize;
-        let mut marked = false;
-        let (sin_t, cos_t) = state.theta.sin_cos();
-        for &p in ctx.prepared {
-            let cand = ctx
-                .model
-                .step_prepared_unchecked(state, p, ctx.dt, sin_t, cos_t);
-            if !cand.is_finite() {
-                continue;
-            }
-            let bits = cand.theta.to_bits();
-            let mut memoized = None;
-            for &(b, c) in memo.get(..memo_len).unwrap_or(&[]) {
-                if b == bits {
-                    memoized = Some(c);
-                    break;
-                }
-            }
-            let code = match memoized {
-                Some(c) => c,
-                None => {
-                    let c = resolve_verdict(ctx, lanes, run, &state, &cand, bits);
-                    if let Some(slot) = memo.get_mut(memo_len) {
-                        *slot = (bits, c);
-                        memo_len += 1;
-                    }
-                    c
-                }
-            };
-            if code != VERDICT_PASS {
-                continue;
-            }
-            if !marked {
-                grid.mark_segment(state.position(), cand.position());
-                marked = true;
-            }
-            if let Some(slot) = buf.get_mut(cursor) {
-                *slot = (cell_key(&cand, ctx.dedup_epsilon), cand);
-                cursor += 1;
-            }
-        }
-    }
-
-    // ε-dedup, canonical-representative selection and frontier ordering —
-    // the same results the reference path's hash table produces, obtained
-    // sort-first so the kernel needs no table: group by cell key with the
-    // canonical maximum leading its group, keep each group's head, then
-    // restore the canonical-descending frontier order.
-    let Some(work) = buf.get_mut(..cursor) else {
-        return (0, false);
-    };
-    work.sort_unstable_by(|a, b| a.0.cmp(&b.0).then_with(|| canonical_order(&b.1, &a.1)));
-    let mut kept = 0usize;
-    let mut last_key: Option<(u128, u128)> = None;
-    for read in 0..cursor {
-        let entry = match work.get(read) {
-            Some(&e) => e,
-            None => break,
-        };
-        if last_key == Some(entry.0) {
-            continue;
-        }
-        last_key = Some(entry.0);
-        if let Some(slot) = work.get_mut(kept) {
-            *slot = entry;
-        }
-        kept += 1;
-    }
-    let Some(frontier) = work.get_mut(..kept) else {
-        return (0, false);
-    };
-    frontier.sort_unstable_by(|a, b| canonical_order(&b.1, &a.1));
-    let truncated = kept > ctx.max_frontier;
-    (kept.min(ctx.max_frontier), truncated)
-}
-
-/// The verdict of one memo-missed candidate heading, reusing the recorded
-/// factual verdict when the removal cannot change it (see [`patch_slice`]).
-fn resolve_verdict(
-    ctx: &PatchCtx<'_>,
-    lanes: &SliceLanes<'_>,
-    run: Option<(&[u64], &[u32])>,
-    state: &VehicleState,
-    cand: &VehicleState,
-    bits: u64,
-) -> u32 {
-    let recorded = match run {
-        Some((run_bits, run_codes)) => lookup_run(run_bits, run_codes, bits),
-        None => None,
-    };
-    match recorded {
-        Some(c) if c == VERDICT_PASS => VERDICT_PASS,
-        Some(c) if c == VERDICT_OFF_MAP => VERDICT_OFF_MAP,
-        Some(c) if c != ctx.removed_pos => c,
-        Some(_) => {
-            // The removed actor was the blocker; drivability passed in the
-            // factual build (a drive failure records off-map before any
-            // obstacle scan), so only the obstacle scans re-run.
-            obstacles_verdict(state, cand, &ctx.dims, lanes, ctx.reduced)
-        }
-        None => {
-            let (sin_c, cos_c) = cand.theta.sin_cos();
-            verdict_for(
-                ctx.map,
-                state,
-                cand,
-                sin_c,
-                cos_c,
-                &ctx.dims,
-                lanes,
-                ctx.reduced,
-            )
-        }
+        let g = self.first + j;
+        let lo = self
+            .blame
+            .parent_ends
+            .get(g.wrapping_sub(1))
+            .copied()
+            .unwrap_or(0) as usize;
+        let hi = *self.blame.parent_ends.get(g)? as usize;
+        Some(Run {
+            bits: self.blame.verdict_bits.get(lo..hi)?,
+            codes: self.blame.verdict_codes.get(lo..hi)?,
+            removed: self.removed,
+        })
     }
 }
 
-/// Finds the factual-frontier index of `state`, trying the aligned position
-/// `hint` first (frontiers are identical on the first patched slice) and
-/// falling back to exact binary search over the canonical-descending
-/// factual frontier.
-fn find_factual_parent(
-    factual_parents: &[VehicleState],
-    hint: usize,
-    state: &VehicleState,
-) -> Option<usize> {
-    if let Some(aligned) = factual_parents.get(hint) {
-        if canonical_order(aligned, state) == std::cmp::Ordering::Equal {
-            return Some(hint);
-        }
-    }
-    factual_parents
-        .binary_search_by(|probe| canonical_order(probe, state).reverse())
-        .ok()
+/// One factual parent's recorded verdict run, with the position of the
+/// actor the patch removes.
+#[derive(Clone, Copy)]
+pub(crate) struct Run<'a> {
+    bits: &'a [u64],
+    codes: &'a [u32],
+    pub(crate) removed: u32,
 }
 
-/// Linear lookup of a heading's recorded verdict in one parent's run. Runs
-/// hold at most one entry per distinct steering angle, so the scan is a
-/// handful of comparisons.
-fn lookup_run(run_bits: &[u64], run_codes: &[u32], bits: u64) -> Option<u32> {
-    for (i, &b) in run_bits.iter().enumerate() {
-        if b == bits {
-            return run_codes.get(i).copied();
-        }
+impl Run<'_> {
+    /// The recorded verdict of heading `bits`. A run holds at most one
+    /// entry per distinct steering angle, so the scan is a handful of
+    /// comparisons.
+    pub(crate) fn recorded(&self, bits: u64) -> Option<u32> {
+        let i = self.bits.iter().position(|&b| b == bits)?;
+        self.codes.get(i).copied()
     }
-    None
 }
 
 #[cfg(test)]
@@ -573,7 +357,7 @@ mod tests {
     use crate::compute::compute_reach_tube_cached;
     use crate::{Obstacle, SamplingMode};
     use iprism_dynamics::Trajectory;
-    use iprism_geom::Meters;
+    use iprism_geom::{Meters, Seconds};
     use proptest::prelude::*;
 
     fn open_road() -> RoadMap {
@@ -608,6 +392,22 @@ mod tests {
             Meters::new(4.6),
             Meters::new(2.0),
         )
+    }
+
+    /// The default (`true`) or fast preset under sampling mode `mode`
+    /// (Boundary, Extreme, Uniform).
+    fn preset(default_preset: bool, mode: usize) -> ReachConfig {
+        let mut cfg = if default_preset {
+            ReachConfig::default()
+        } else {
+            ReachConfig::fast()
+        };
+        cfg.mode = match mode {
+            0 => SamplingMode::Boundary,
+            1 => SamplingMode::Extreme,
+            _ => SamplingMode::Uniform { na: 3, ns: 3 },
+        };
+        cfg
     }
 
     /// The traced factual build over every obstacle, `T^∅` derived from it,
@@ -738,6 +538,71 @@ mod tests {
         assert_eq!(derived, rebuilt);
     }
 
+    /// FNV-1a over every lane of a blame record, each lane prefixed by its
+    /// length so that records differing only in lane boundaries differ.
+    fn blame_fingerprint(blame: &TubeBlame) -> u64 {
+        let wide = |lane: &[u32]| lane.iter().map(|&v| u64::from(v)).collect::<Vec<_>>();
+        let lanes = [
+            wide(&blame.active),
+            blame.verdict_bits.clone(),
+            wide(&blame.verdict_codes),
+            wide(&blame.parent_ends),
+            wide(&blame.slice_parents),
+            wide(&blame.cells),
+            wide(&blame.slice_cells),
+            blame.masks.clone(),
+            blame.truncated.iter().map(|&t| u64::from(t)).collect(),
+        ];
+        lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, lane| {
+            std::iter::once(lane.len() as u64)
+                .chain(lane.iter().copied())
+                .flat_map(u64::to_le_bytes)
+                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+        })
+    }
+
+    /// The traced build's blame record is pinned lane for lane: the scene
+    /// above, the three pinned `T^∅` regimes and an 8-actor moving scene,
+    /// under both presets. A change to how the record is written must leave
+    /// every recorded verdict, offset, cell and flag where it was.
+    #[test]
+    fn traced_blame_record_is_pinned() {
+        let moving: Vec<Obstacle> = [
+            (112.0, 5.25, 4.0),
+            (125.0, 8.75, -6.0),
+            (104.0, 1.75, 7.0),
+            (140.0, 5.25, -8.0),
+            (118.0, 1.75, 0.0),
+            (131.0, 8.75, 5.0),
+            (150.0, 1.75, -3.0),
+            (109.0, 8.75, 2.0),
+        ]
+        .iter()
+        .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
+        .collect();
+        let scenes = [
+            scene(),
+            vec![stationary_obstacle(115.0, 14.0)],
+            vec![stationary_obstacle(106.0, 5.25)],
+            vec![stationary_obstacle(128.0, 5.25)],
+            moving,
+        ];
+        let map = open_road();
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for cfg in [ReachConfig::default(), ReachConfig::fast()] {
+            for obstacles in &scenes {
+                let cache = SliceCache::new(obstacles, &cfg);
+                let all: Vec<usize> = (0..obstacles.len()).collect();
+                let (_, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
+                h = (h ^ blame_fingerprint(&blame)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            h, 0xd312_6649_7bab_4e62,
+            "blame record fingerprint {h:#018x}"
+        );
+    }
+
     proptest! {
         /// `T^∅` derived from a traced factual build equals the rebuild
         /// over the empty set in every field — slices, grid and truncation
@@ -750,16 +615,7 @@ mod tests {
             default_preset in any::<bool>(),
             mode in 0usize..3,
         ) {
-            let mut cfg = if default_preset {
-                ReachConfig::default()
-            } else {
-                ReachConfig::fast()
-            };
-            cfg.mode = match mode {
-                0 => SamplingMode::Boundary,
-                1 => SamplingMode::Extreme,
-                _ => SamplingMode::Uniform { na: 3, ns: 3 },
-            };
+            let cfg = preset(default_preset, mode);
             let obstacles: Vec<Obstacle> = placements
                 .iter()
                 .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
@@ -770,25 +626,24 @@ mod tests {
     }
 
     proptest! {
-        /// The load-bearing equivalence: for random scenes, sampling modes
-        /// and removal choices, the patched counterfactual tube equals the
-        /// full reference rebuild in every field — slices, grid occupancy
-        /// and truncation flag.
+        /// The load-bearing equivalence: for random stationary, leading and
+        /// oncoming obstacles, both presets, every sampling mode and every
+        /// removal choice, the patched counterfactual tube equals the full
+        /// reference rebuild in every field — slices, grid occupancy and
+        /// truncation flag.
         #[test]
         fn prop_patch_matches_rebuild(
             placements in proptest::collection::vec(
-                (103.0..140.0f64, 0.5..10.0f64), 1..6),
+                (103.0..160.0f64, 0.5..10.0f64, -8.0..8.0f64), 1..9),
             removed_seed in 0usize..8,
-            boundary in any::<bool>(),
+            default_preset in any::<bool>(),
+            mode in 0usize..3,
         ) {
             let map = open_road();
-            let mut cfg = ReachConfig::fast();
-            if boundary {
-                cfg.mode = SamplingMode::Boundary;
-            }
+            let cfg = preset(default_preset, mode);
             let obstacles: Vec<Obstacle> = placements
                 .iter()
-                .map(|&(x, y)| stationary_obstacle(x, y))
+                .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
                 .collect();
             let removed = removed_seed % obstacles.len();
             let cache = SliceCache::new(&obstacles, &cfg);
