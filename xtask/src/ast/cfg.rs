@@ -1,12 +1,12 @@
 //! Per-function statement-level control-flow graphs over the token stream.
 //!
-//! The dataflow pass (`cargo xtask lint --flow`, see [`super::flow`]) needs
-//! just enough control structure to merge facts at join points: statements
-//! are nodes; `if`/`else`, `while`, `for`, `loop` and `match` contribute
-//! branch edges and loop back edges; and any construct the best-effort
-//! parser cannot shape collapses into a single opaque statement node. That
-//! degradation is graceful by design: analyses scan every token of a node,
-//! so an unshaped region only loses *join precision*, never coverage.
+//! The dataflow rules (see [`super::flow`]) need just enough control
+//! structure to merge facts at join points: statements are nodes;
+//! `if`/`else`, `while`, `for`, `loop` and `match` contribute branch edges
+//! and loop back edges; and any construct the best-effort parser cannot
+//! shape collapses into a single opaque statement node. That degradation is
+//! graceful by design: analyses scan every token of a node, so an unshaped
+//! region only loses *join precision*, never coverage.
 //!
 //! Hand-rolled like the rest of the `xtask` stack — the build environment
 //! is offline, so `syn` is unavailable.
@@ -135,7 +135,7 @@ pub fn find_fns(tokens: &[Token]) -> Vec<FnUnit> {
             i = k + 1;
             continue;
         };
-        let Some(end) = matching_brace(tokens, open) else {
+        let Some(end) = matching_close(tokens, open) else {
             i += 1;
             continue;
         };
@@ -149,23 +149,6 @@ pub fn find_fns(tokens: &[Token]) -> Vec<FnUnit> {
         i = open + 1;
     }
     out
-}
-
-/// Index of the `}` matching the `{` at `open`.
-#[must_use]
-pub fn matching_brace(tokens: &[Token], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (i, t) in tokens.iter().enumerate().skip(open) {
-        if t.is_punct('{') {
-            depth += 1;
-        } else if t.is_punct('}') {
-            depth -= 1;
-            if depth == 0 {
-                return Some(i);
-            }
-        }
-    }
-    None
 }
 
 /// Builds the statement-level CFG for the body token range of one fn.
@@ -238,7 +221,7 @@ fn stmt(
         let Some(open) = block_open(tokens, i + 1, hi) else {
             return opaque(tokens, i, hi, cfg);
         };
-        let Some(end) = matching_brace(tokens, open) else {
+        let Some(end) = matching_close(tokens, open) else {
             return opaque(tokens, i, hi, cfg);
         };
         let header = cfg.push(i..open, kind);
@@ -253,7 +236,7 @@ fn stmt(
         let Some(open) = block_open(tokens, i + 1, hi) else {
             return opaque(tokens, i, hi, cfg);
         };
-        let Some(end) = matching_brace(tokens, open) else {
+        let Some(end) = matching_close(tokens, open) else {
             return opaque(tokens, i, hi, cfg);
         };
         let (body_entry, body_exits) = seq(tokens, open + 1..end, cfg);
@@ -284,7 +267,7 @@ fn stmt(
                     "(" | "[" => depth += 1,
                     ")" | "]" => depth -= 1,
                     "{" if depth == 0 => {
-                        let end = matching_brace(tokens, j).unwrap_or(hi);
+                        let end = matching_close(tokens, j).unwrap_or(hi);
                         return (None, Vec::new(), (end + 1).max(i + 1));
                     }
                     ";" if depth == 0 => return (None, Vec::new(), j + 1),
@@ -358,7 +341,7 @@ fn if_stmt(
     let Some(open) = block_open(tokens, i + 1, hi) else {
         return opaque(tokens, i, hi, cfg);
     };
-    let Some(end) = matching_brace(tokens, open) else {
+    let Some(end) = matching_close(tokens, open) else {
         return opaque(tokens, i, hi, cfg);
     };
     let header = cfg.push(i..open, NodeKind::Cond);
@@ -381,7 +364,7 @@ fn if_stmt(
             exits.extend(ex);
             next = after;
         } else if tokens.get(next + 1).is_some_and(|t| t.is_punct('{')) {
-            let Some(eend) = matching_brace(tokens, next + 1) else {
+            let Some(eend) = matching_close(tokens, next + 1) else {
                 return (Some(header), exits, hi);
             };
             let (else_entry, else_exits) = seq(tokens, next + 2..eend, cfg);
@@ -414,7 +397,7 @@ fn match_stmt(
     let Some(open) = block_open(tokens, i + 1, hi) else {
         return opaque(tokens, i, hi, cfg);
     };
-    let Some(end) = matching_brace(tokens, open) else {
+    let Some(end) = matching_close(tokens, open) else {
         return opaque(tokens, i, hi, cfg);
     };
     let head = cfg.push(i..open, NodeKind::MatchHead);
@@ -447,7 +430,7 @@ fn match_stmt(
         cfg.link(&[head], pat);
         let body_start = arrow + 2;
         let (arm_exits, after) = if tokens.get(body_start).is_some_and(|t| t.is_punct('{')) {
-            let Some(bend) = matching_brace(tokens, body_start) else {
+            let Some(bend) = matching_close(tokens, body_start) else {
                 break;
             };
             let (be, bx) = seq(tokens, body_start + 1..bend, cfg);
@@ -498,7 +481,7 @@ mod tests {
     use super::*;
 
     fn cfg_of(src: &str) -> (Vec<Token>, Cfg) {
-        let tokens = lex(src);
+        let tokens = lex(src).tokens;
         let fns = find_fns(&tokens);
         assert_eq!(fns.len(), 1, "expected one fn in fixture");
         let cfg = build_cfg(&tokens, fns[0].body.clone());
@@ -569,7 +552,7 @@ mod tests {
     #[test]
     fn nested_items_are_skipped_in_the_enclosing_cfg() {
         let (tokens, cfg) = {
-            let tokens = lex("fn outer() { fn inner(x: f64) { let y = x; } let z = 1; }");
+            let tokens = lex("fn outer() { fn inner(x: f64) { let y = x; } let z = 1; }").tokens;
             let fns = find_fns(&tokens);
             let cfg = build_cfg(&tokens, fns[0].body.clone());
             (tokens, cfg)
@@ -582,7 +565,8 @@ mod tests {
 
     #[test]
     fn fn_units_carry_params_and_nested_fns() {
-        let tokens = lex("fn outer(dt: Seconds) { fn inner(x: f64) { let y = x; } let z = 1; }");
+        let tokens =
+            lex("fn outer(dt: Seconds) { fn inner(x: f64) { let y = x; } let z = 1; }").tokens;
         let fns = find_fns(&tokens);
         assert_eq!(fns.len(), 2);
         assert_eq!(fns[0].name, "outer");

@@ -1,22 +1,23 @@
 //! Function/call extraction for the workspace call-graph pass.
 //!
-//! `cargo xtask lint --graph` needs more than per-file token checks: it has
-//! to know which `fn` items a file defines (name, receiver type, visibility)
+//! The call-graph rules need more than per-file token checks: they have to
+//! know which `fn` items a file defines (name, receiver type, visibility)
 //! and which calls each body makes, so the graph layer in [`super::graph`]
 //! can resolve edges across crates and propagate taint. This module walks
-//! the existing lexer's token stream once per file and produces that model,
-//! plus the two pieces of per-file policy the graph pass consumes: hot-path
-//! certification markers (`// iprism: hot-path(no-panic, no-alloc,
-//! deterministic)`) and per-line `iprism-lint: allow(hot-path-*)` waivers.
+//! a file's token stream once and produces that model, plus the two pieces
+//! of per-file policy the graph consumes: hot-path certification markers
+//! (`// iprism: hot-path(no-panic, no-alloc, deterministic)`) and the lines
+//! where `iprism-lint: allow(hot-path-*)` waives a property.
 //!
 //! The extraction is deliberately best-effort — no type inference, no macro
 //! expansion — and errs on the side of recording a call, leaving precision
 //! to the resolution step (receiver-type and dependency-closure narrowing).
 
-use super::lexer::{self, Kind, Token};
-use super::rules::{matching_close, skip_generics};
-use super::{allow_lines, allowed, parse_allow_names, AstDiagnostic, AstRule};
-use crate::mask::{self, MaskedFile};
+use super::lexer::{Kind, Lexed, Token};
+use super::rules::{
+    after_dot, call_open, macro_call, matching_close, pub_of_fn, skip_generics, NONDET_IDENTS,
+};
+use super::{Diagnostic, Rule, Waivers};
 
 /// The three properties a hot-path marker can demand.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -45,12 +46,18 @@ impl HotProp {
 
     /// The lint rule that reports a violation of this property.
     #[must_use]
-    pub fn rule(self) -> AstRule {
+    pub fn rule(self) -> Rule {
         match self {
-            HotProp::NoPanic => AstRule::HotPathPanic,
-            HotProp::NoAlloc => AstRule::HotPathAlloc,
-            HotProp::Deterministic => AstRule::HotPathNondet,
+            HotProp::NoPanic => Rule::HotPathPanic,
+            HotProp::NoAlloc => Rule::HotPathAlloc,
+            HotProp::Deterministic => Rule::HotPathNondet,
         }
+    }
+
+    /// The property whose violations `rule` reports, if any.
+    #[must_use]
+    pub fn from_rule(rule: Rule) -> Option<HotProp> {
+        ALL_PROPS.iter().copied().find(|p| p.rule() == rule)
     }
 
     /// Short noun used in taint-chain diagnostics (`... : alloc via ...`).
@@ -166,21 +173,6 @@ pub struct SourceHit {
     pub col: usize,
 }
 
-/// An `allow(hot-path-*)` directive, kept for the dead-waiver audit that
-/// runs with full graph context.
-#[derive(Debug, Clone)]
-pub struct HotWaiver {
-    /// 1-based directive line.
-    pub line: usize,
-    /// 1-based directive column.
-    pub col: usize,
-    /// The hot-path properties the directive names.
-    pub props: Vec<HotProp>,
-    /// 1-based code lines the directive binds to (own line, or the next
-    /// code line below a comment-only run).
-    pub covered: Vec<usize>,
-}
-
 /// Everything the graph layer needs to know about one file.
 #[derive(Debug, Clone)]
 pub struct FileExtract {
@@ -194,10 +186,6 @@ pub struct FileExtract {
     pub sources: Vec<SourceHit>,
     /// Per 0-based line, which properties are waived there.
     pub waived: Vec<[bool; 3]>,
-    /// Hot-path waiver directives, for the dead-waiver audit.
-    pub hot_waivers: Vec<HotWaiver>,
-    /// Malformed or unattached `hot-path(...)` markers.
-    pub errors: Vec<AstDiagnostic>,
 }
 
 /// Macro names that abort when invoked (`debug_assert*` is excluded: it
@@ -250,20 +238,6 @@ const ALLOC_TYPES: [&str; 9] = [
 /// Constructor names that count as allocation on an [`ALLOC_TYPES`] owner.
 const ALLOC_CTORS: [&str; 4] = ["new", "with_capacity", "from", "from_iter"];
 
-/// Identifiers whose mere presence in a body is a nondeterminism source
-/// (mirrors the per-file `no-unseeded-rng` / `no-wallclock-in-sim` lists,
-/// plus hash collections whose iteration order varies run to run).
-const NONDET_IDENTS: [&str; 8] = [
-    "thread_rng",
-    "from_entropy",
-    "OsRng",
-    "ThreadRng",
-    "Instant",
-    "SystemTime",
-    "HashMap",
-    "HashSet",
-];
-
 /// Keywords that can never be a call or an indexed expression head.
 const KEYWORDS: [&str; 36] = [
     "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
@@ -289,25 +263,26 @@ enum Frame {
     Other,
 }
 
-/// Extracts the call-graph model from one source file.
+/// Extracts the call-graph model from one file, appending malformed or
+/// unattached hot-path markers to `errors` (pre-waiver, like every
+/// per-file finding).
 #[must_use]
-pub fn extract_file(rel_path: &str, source: &str) -> FileExtract {
-    let masked = mask::mask(source);
-    let tokens = lexer::lex(source);
-    let skip = |line: usize| {
-        let idx = line - 1;
-        masked.test.get(idx).copied().unwrap_or(false)
-            || masked.macro_body.get(idx).copied().unwrap_or(false)
-    };
-
+pub fn extract_file(
+    rel_path: &str,
+    file: &Lexed,
+    waivers: &Waivers,
+    errors: &mut Vec<Diagnostic>,
+) -> FileExtract {
+    let tokens = &file.tokens;
+    let skip = |line: usize| file.skipped(line);
     let mut out = FileExtract {
         path: rel_path.to_string(),
         fns: Vec::new(),
         calls: Vec::new(),
         sources: Vec::new(),
-        waived: Vec::new(),
-        hot_waivers: Vec::new(),
-        errors: Vec::new(),
+        waived: (0..file.lines.len())
+            .map(|idx| ALL_PROPS.map(|p| waivers.allowed(idx, p.rule())))
+            .collect(),
     };
 
     let mut stack: Vec<Frame> = Vec::new();
@@ -332,20 +307,7 @@ pub fn extract_file(rel_path: &str, source: &str) -> FileExtract {
                 None
             };
             if let Some(open) = open {
-                let mut depth = 0i32;
-                let mut j = open;
-                while j < tokens.len() {
-                    if tokens[j].is_punct('[') {
-                        depth += 1;
-                    } else if tokens[j].is_punct(']') {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    j += 1;
-                }
-                i = j + 1;
+                i = matching_close(tokens, open).map_or(tokens.len(), |close| close + 1);
                 continue;
             }
         }
@@ -384,11 +346,11 @@ pub fn extract_file(rel_path: &str, source: &str) -> FileExtract {
         if t.is_ident("impl") && pending_fn.is_none() {
             let mut j = i + 1;
             if tokens.get(j).is_some_and(|n| n.is_punct('<')) {
-                j = skip_generics(&tokens, j).unwrap_or(j + 1);
+                j = skip_generics(tokens, j).unwrap_or(j + 1);
             }
-            let (first, after) = parse_type_path(&tokens, j);
+            let (first, after) = parse_type_path(tokens, j);
             let ty = if tokens.get(after).is_some_and(|n| n.is_ident("for")) {
-                parse_type_path(&tokens, after + 1).0
+                parse_type_path(tokens, after + 1).0
             } else {
                 first
             };
@@ -415,8 +377,8 @@ pub fn extract_file(rel_path: &str, source: &str) -> FileExtract {
                     name: name_tok.text.clone(),
                     impl_type: cur_impl.as_ref().map(|(ty, _)| ty.clone()),
                     in_trait: cur_impl.as_ref().is_some_and(|&(_, t)| t),
-                    has_self: fn_has_self(&tokens, i + 2),
-                    is_pub: fn_is_pub(&tokens, i),
+                    has_self: fn_has_self(tokens, i + 2),
+                    is_pub: pub_of_fn(tokens, i).is_some(),
                     line: name_tok.line,
                     col: name_tok.col,
                     props: Vec::new(),
@@ -461,73 +423,13 @@ pub fn extract_file(rel_path: &str, source: &str) -> FileExtract {
         }
 
         if t.kind == Kind::Ident {
-            scan_ident(&tokens, i, f, &mut out, cur_impl.as_ref());
+            scan_ident(tokens, i, f, &mut out, cur_impl.as_ref());
         }
         i += 1;
     }
 
-    // Per-line hot-path waivers (shared allow machinery) and the directive
-    // list the graph-side dead-waiver audit consumes.
-    let allows = allow_lines(&masked);
-    out.waived = (0..masked.code.len())
-        .map(|idx| {
-            let mut w = [false; 3];
-            for p in ALL_PROPS {
-                w[p.idx()] = allowed(&allows, &masked, idx, p.rule());
-            }
-            w
-        })
-        .collect();
-    for (idx, comment) in masked.comments.iter().enumerate() {
-        if skip(idx + 1) {
-            continue;
-        }
-        let Some((col0, names)) = parse_allow_names(comment) else {
-            continue;
-        };
-        let props: Vec<HotProp> = ALL_PROPS
-            .iter()
-            .copied()
-            .filter(|p| names.iter().any(|n| n == p.rule().name()))
-            .collect();
-        if props.is_empty() {
-            continue;
-        }
-        out.hot_waivers.push(HotWaiver {
-            line: idx + 1,
-            col: col0 + 1,
-            props,
-            covered: waiver_coverage(&masked, idx)
-                .map(|l| l + 1)
-                .into_iter()
-                .collect(),
-        });
-    }
-
-    attach_markers(&masked, &skip, &mut out);
-    // Marker errors honour the standard waiver mechanism like every other
-    // rule: `allow(hot-path-marker)` on or above the marker line silences.
-    out.errors
-        .retain(|e| !allowed(&allows, &masked, e.line - 1, e.rule));
+    attach_markers(file, &mut out, errors);
     out
-}
-
-/// The 0-based code line an allow/marker directive on line `idx` binds to:
-/// its own line when it carries code, else the first code line below the
-/// contiguous comment-only run (mirrors the upward walk in `allowed`).
-pub(crate) fn waiver_coverage(file: &MaskedFile, idx: usize) -> Option<usize> {
-    if !file.code[idx].trim().is_empty() {
-        return Some(idx);
-    }
-    let mut l = idx + 1;
-    while l < file.code.len() {
-        let comment_only = file.code[l].trim().is_empty() && !file.comments[l].trim().is_empty();
-        if !comment_only {
-            break;
-        }
-        l += 1;
-    }
-    (l < file.code.len() && !file.code[l].trim().is_empty()).then_some(l)
 }
 
 /// Walks a type path (`a::b::Type<Args>`), returning its final type name
@@ -572,43 +474,6 @@ fn fn_has_self(tokens: &[Token], mut k: usize) -> bool {
         .is_some_and(|t| t.is_ident("self"))
 }
 
-/// Is the `fn` at token index `f` a bare-`pub` item? Walks back over
-/// qualifier keywords and an optional ABI string.
-fn fn_is_pub(tokens: &[Token], f: usize) -> bool {
-    let mut k = f;
-    while k > 0 {
-        k -= 1;
-        let t = &tokens[k];
-        let qualifier = t.is_ident("const")
-            || t.is_ident("async")
-            || t.is_ident("unsafe")
-            || t.is_ident("extern")
-            || t.kind == Kind::Str;
-        if qualifier {
-            continue;
-        }
-        return t.is_ident("pub");
-    }
-    false
-}
-
-/// Is `tokens[i]` followed by call syntax (`(`, optionally after a
-/// `::<...>` turbofish)?
-fn call_open(tokens: &[Token], i: usize) -> bool {
-    match tokens.get(i + 1) {
-        Some(t) if t.is_punct('(') => true,
-        Some(t)
-            if t.is_punct(':')
-                && tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
-                && tokens.get(i + 3).is_some_and(|n| n.is_punct('<')) =>
-        {
-            skip_generics(tokens, i + 3)
-                .is_some_and(|after| tokens.get(after).is_some_and(|n| n.is_punct('(')))
-        }
-        _ => false,
-    }
-}
-
 /// Classifies one identifier token inside a fn body: macro sources, method
 /// calls/sources, qualified and bare calls, and plain nondeterminism idents.
 fn scan_ident(
@@ -630,12 +495,7 @@ fn scan_ident(
         });
     };
 
-    // Macro invocation: `name!` followed by a delimiter.
-    let is_macro = tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        && tokens
-            .get(i + 2)
-            .is_some_and(|n| n.is_punct('(') || n.is_punct('[') || n.is_punct('{'));
-    if is_macro {
+    if macro_call(tokens, i) {
         if PANIC_MACROS.contains(&name) {
             push_source(out, HotProp::NoPanic, format!("`{name}!`"));
         } else if ALLOC_MACROS.contains(&name) {
@@ -644,8 +504,7 @@ fn scan_ident(
         return;
     }
 
-    let prev_dot =
-        i >= 1 && tokens[i - 1].is_punct('.') && !(i >= 2 && tokens[i - 2].is_punct('.'));
+    let prev_dot = after_dot(tokens, i);
     let prev_path = i >= 2 && tokens[i - 1].is_punct(':') && tokens[i - 2].is_punct(':');
 
     if prev_dot {
@@ -697,7 +556,7 @@ fn scan_ident(
         });
     }
 
-    if NONDET_IDENTS.contains(&name) {
+    if NONDET_IDENTS.iter().any(|&(id, _)| id == name) {
         push_source(out, HotProp::Deterministic, format!("`{name}`"));
     }
 }
@@ -754,77 +613,60 @@ type ParsedMarker = (usize, Result<Vec<HotProp>, String>);
 
 /// Binds `// iprism: hot-path(...)` markers to the fn below them and
 /// reports malformed or dangling markers.
-fn attach_markers(masked: &MaskedFile, skip: &dyn Fn(usize) -> bool, out: &mut FileExtract) {
+fn attach_markers(file: &Lexed, out: &mut FileExtract, errors: &mut Vec<Diagnostic>) {
     let mut markers: Vec<Option<ParsedMarker>> =
-        masked.comments.iter().map(|c| parse_marker(c)).collect();
+        file.comments.iter().map(|c| parse_marker(c)).collect();
 
     // Sort by line so the upward walk below sees fns in file order.
     let mut order: Vec<usize> = (0..out.fns.len()).collect();
     order.sort_by_key(|&fi| out.fns[fi].line);
     for fi in order {
         let fn_line = out.fns[fi].line;
-        let bind = |marker: &mut Option<ParsedMarker>,
-                    line: usize,
-                    fns: &mut [FnDef],
-                    errors: &mut Vec<AstDiagnostic>| {
-            if let Some((col0, parsed)) = marker.take() {
-                match parsed {
-                    Ok(props) => fns[fi].props = props,
-                    Err(err) => errors.push(marker_error(&out.path, line, col0 + 1, &err)),
-                }
-            }
-        };
         // Same line first (trailing marker), then the comment/attr run above.
-        if let Some(m) = markers.get_mut(fn_line - 1) {
-            if m.is_some() {
-                bind(m, fn_line, &mut out.fns, &mut out.errors);
-                continue;
+        let mut at = Some(fn_line - 1).filter(|&l| markers[l].is_some());
+        let mut l = fn_line - 1; // 0-based line above the fn
+        while at.is_none() && l > 0 {
+            l -= 1;
+            let attr_line = file.code[l] && file.lines[l].trim_start().starts_with('#');
+            if !file.comment_only(l) && !attr_line {
+                break;
+            }
+            if markers[l].is_some() {
+                at = Some(l);
             }
         }
-        let mut l = fn_line - 1; // 0-based line above the fn
-        while l > 0 {
-            l -= 1;
-            let comment_only =
-                masked.code[l].trim().is_empty() && !masked.comments[l].trim().is_empty();
-            let attr_line = masked.code[l].trim_start().starts_with('#');
-            if !comment_only && !attr_line {
-                break;
-            }
-            if markers.get(l).is_some_and(Option::is_some) {
-                let m = &mut markers[l];
-                bind(m, l + 1, &mut out.fns, &mut out.errors);
-                break;
+        let Some(l) = at else {
+            continue;
+        };
+        if let Some((col0, parsed)) = markers[l].take() {
+            match parsed {
+                Ok(props) => out.fns[fi].props = props,
+                Err(err) => errors.push(marker_error(&out.path, l, col0, &err)),
             }
         }
     }
 
-    for (idx, marker) in markers.iter().enumerate() {
+    for (idx, marker) in markers.into_iter().enumerate() {
         let Some((col0, parsed)) = marker else {
             continue;
         };
-        if skip(idx + 1) {
-            continue;
-        }
-        match parsed {
-            Ok(_) => out.errors.push(marker_error(
-                &out.path,
-                idx + 1,
-                col0 + 1,
-                "marker is not attached to a function item",
-            )),
-            Err(err) => out
-                .errors
-                .push(marker_error(&out.path, idx + 1, col0 + 1, err)),
+        if !file.skipped(idx + 1) {
+            let err = match &parsed {
+                Ok(_) => "marker is not attached to a function item",
+                Err(err) => err,
+            };
+            errors.push(marker_error(&out.path, idx, col0, err));
         }
     }
 }
 
-fn marker_error(path: &str, line: usize, col: usize, err: &str) -> AstDiagnostic {
-    AstDiagnostic {
+/// A `hot-path-marker` finding for the marker at 0-based `line0`/`col0`.
+fn marker_error(path: &str, line0: usize, col0: usize, err: &str) -> Diagnostic {
+    Diagnostic {
         path: path.to_string(),
-        line,
-        col,
-        rule: AstRule::HotPathMarker,
+        line: line0 + 1,
+        col: col0 + 1,
+        rule: Rule::HotPathMarker,
         message: format!(
             "bad hot-path marker: {err} (expected `// iprism: hot-path(no-panic, no-alloc, \
              deterministic)` directly above a fn)"
@@ -833,8 +675,9 @@ fn marker_error(path: &str, line: usize, col: usize, err: &str) -> AstDiagnostic
 }
 
 /// Parses a `hot-path(...)` marker out of one comment line. Returns the
-/// 0-based column of the directive and the parsed properties or an error.
-fn parse_marker(comment: &str) -> Option<(usize, Result<Vec<HotProp>, String>)> {
+/// 0-based char column of the directive and the parsed properties or an
+/// error.
+fn parse_marker(comment: &str) -> Option<ParsedMarker> {
     if super::is_doc_comment(comment) {
         return None;
     }
@@ -842,8 +685,7 @@ fn parse_marker(comment: &str) -> Option<(usize, Result<Vec<HotProp>, String>)> 
     let rest = &comment[pos + "iprism:".len()..];
     let hp = rest.find("hot-path")?;
     let after = &rest[hp + "hot-path".len()..];
-    let parsed = parse_marker_props(after);
-    Some((pos, parsed))
+    Some((comment[..pos].chars().count(), parse_marker_props(after)))
 }
 
 fn parse_marker_props(after: &str) -> Result<Vec<HotProp>, String> {

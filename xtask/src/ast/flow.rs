@@ -1,4 +1,4 @@
-//! Layer 4: forward dataflow over the per-function CFG (`lint --flow`).
+//! The dataflow rules: forward dataflow over the per-function CFG.
 //!
 //! Two analysis families run over every classified file:
 //!
@@ -20,18 +20,15 @@
 //! and joins happen where CFG edges meet. Analyses scan *every* token of a
 //! node, so the graceful degradation in [`super::cfg`] only costs join
 //! precision, never coverage. Hand-rolled, zero dependencies, like every
-//! other layer of the stack.
+//! other rule family of the pass.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::ops::Range;
-use std::path::Path;
 
-use crate::mask::{self, MaskedFile};
-
-use super::cfg::{self, matching_brace, Cfg, CfgNode, NodeKind};
-use super::lexer::{self, Kind, Token};
-use super::rules::{matching_close, skip_generics};
-use super::{allow_lines, allowed, parse_allow_names, AstDiagnostic, AstRule, FLOW_RULES};
+use super::cfg::{self, Cfg, CfgNode, NodeKind};
+use super::lexer::{Kind, Lexed, Token};
+use super::rules::{adjacent, matching_close, skip_generics};
+use super::{Diagnostic, Rule};
 
 /// One dataflow analysis: a join-semilattice fact plus a transfer function.
 pub trait Analysis {
@@ -47,7 +44,7 @@ pub trait Analysis {
         tokens: &[Token],
         node: &CfgNode,
         fact: &Self::Fact,
-        sink: &mut Vec<AstDiagnostic>,
+        sink: &mut Vec<Diagnostic>,
     ) -> Self::Fact;
 }
 
@@ -57,7 +54,7 @@ pub fn run_to_fixpoint<A: Analysis>(
     analysis: &A,
     tokens: &[Token],
     cfg: &Cfg,
-    out: &mut Vec<AstDiagnostic>,
+    out: &mut Vec<Diagnostic>,
 ) {
     let n = cfg.nodes.len();
     let Some(entry) = cfg.entry else { return };
@@ -266,7 +263,7 @@ impl Analysis for UnitAnalysis<'_> {
         tokens: &[Token],
         node: &CfgNode,
         fact: &Env,
-        sink: &mut Vec<AstDiagnostic>,
+        sink: &mut Vec<Diagnostic>,
     ) -> Env {
         let toks = &tokens[node.tokens.clone()];
         let mut env = fact.clone();
@@ -378,12 +375,6 @@ fn is_keyword(s: &str) -> bool {
     )
 }
 
-/// Two tokens are adjacent in the source (multi-char operators lex as
-/// adjacent single-char puncts).
-fn adjacent(a: &Token, b: &Token) -> bool {
-    a.line == b.line && a.col + a.text.len() == b.col
-}
-
 /// Finds the `=` of a `let`/assignment at bracket depth 0 from `from`,
 /// skipping `==`, `!=`, `<=`, `>=`, `=>` and `+=`-style compound forms.
 fn find_standalone_eq(toks: &[Token], from: usize) -> Option<usize> {
@@ -417,26 +408,13 @@ fn find_standalone_eq(toks: &[Token], from: usize) -> Option<usize> {
 
 /// Transfer for an ordinary statement node: `let` bindings, simple
 /// (compound) assignments, or a plain expression scan.
-fn unit_stmt(path: &str, toks: &[Token], env: &mut Env, sink: &mut Vec<AstDiagnostic>) {
+fn unit_stmt(path: &str, toks: &[Token], env: &mut Env, sink: &mut Vec<Diagnostic>) {
     let mut i = 0;
     // Skip leading attributes.
     while toks.get(i).is_some_and(|t| t.is_punct('#'))
         && toks.get(i + 1).is_some_and(|t| t.is_punct('['))
     {
-        let mut depth = 0i32;
-        let mut j = i + 1;
-        while j < toks.len() {
-            if toks[j].is_punct('[') {
-                depth += 1;
-            } else if toks[j].is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    break;
-                }
-            }
-            j += 1;
-        }
-        i = (j + 1).min(toks.len());
+        i = matching_close(toks, i + 1).map_or(toks.len(), |close| close + 1);
     }
     let toks = &toks[i..];
     let end = toks
@@ -535,12 +513,12 @@ fn unit_stmt(path: &str, toks: &[Token], env: &mut Env, sink: &mut Vec<AstDiagno
     eval_all(path, toks, env, sink);
 }
 
-fn mixed_dim(path: &str, at: &Token, lhs: Dim, rhs: Dim) -> AstDiagnostic {
-    AstDiagnostic {
+fn mixed_dim(path: &str, at: &Token, lhs: Dim, rhs: Dim) -> Diagnostic {
+    Diagnostic {
         path: path.to_string(),
         line: at.line,
         col: at.col,
-        rule: AstRule::UnitMixedDim,
+        rule: Rule::UnitMixedDim,
         message: format!(
             "mixed-dimension arithmetic: {} {} {}; convert through the iprism-units newtypes first",
             lhs.label(),
@@ -553,7 +531,7 @@ fn mixed_dim(path: &str, at: &Token, lhs: Dim, rhs: Dim) -> AstDiagnostic {
 /// Scans a token region as a sequence of expressions, returning the
 /// dimension of the *first* expression (the rhs value of a binding) while
 /// reporting violations anywhere in the region.
-fn eval_all(path: &str, toks: &[Token], env: &Env, sink: &mut Vec<AstDiagnostic>) -> Dim {
+fn eval_all(path: &str, toks: &[Token], env: &Env, sink: &mut Vec<Diagnostic>) -> Dim {
     let mut ev = Eval {
         toks,
         pos: 0,
@@ -584,13 +562,13 @@ struct Eval<'a, 'b> {
     pos: usize,
     env: &'a Env,
     path: &'a str,
-    sink: &'b mut Vec<AstDiagnostic>,
+    sink: &'b mut Vec<Diagnostic>,
     depth: u32,
 }
 
 impl Eval<'_, '_> {
-    fn report(&mut self, at: &Token, rule: AstRule, message: String) {
-        self.sink.push(AstDiagnostic {
+    fn report(&mut self, at: &Token, rule: Rule, message: String) {
+        self.sink.push(Diagnostic {
             path: self.path.to_string(),
             line: at.line,
             col: at.col,
@@ -823,7 +801,7 @@ impl Eval<'_, '_> {
                 continue;
             }
             if t.is_punct('[') {
-                let Some(close) = self.matching_bracket(self.pos) else {
+                let Some(close) = matching_close(self.toks, self.pos) else {
                     break;
                 };
                 self.eval_args(self.pos + 1, close);
@@ -889,21 +867,6 @@ impl Eval<'_, '_> {
         d
     }
 
-    fn matching_bracket(&self, open: usize) -> Option<usize> {
-        let mut depth = 0i32;
-        for (i, t) in self.toks.iter().enumerate().skip(open) {
-            if t.is_punct('[') {
-                depth += 1;
-            } else if t.is_punct(']') {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-        }
-        None
-    }
-
     /// The float/unit method table: how a method call transforms the
     /// receiver's dimension, with the angle-hygiene checks.
     fn method(&mut self, recv: Dim, name: &Token, _args: &[Dim]) -> Dim {
@@ -915,7 +878,7 @@ impl Eval<'_, '_> {
                 if recv.known() && recv != Dim::Radians && recv != Dim::Ratio {
                     self.report(
                         name,
-                        AstRule::UnitAngleRaw,
+                        Rule::UnitAngleRaw,
                         format!(
                             "trigonometry on {}; route the angle through Radians \
                              (e.g. Radians::from_degrees) first",
@@ -933,7 +896,7 @@ impl Eval<'_, '_> {
                 if recv == Dim::Radians {
                     self.report(
                         name,
-                        AstRule::UnitAngleRaw,
+                        Rule::UnitAngleRaw,
                         "to_radians() on a value already tracked as radians; \
                          this double-converts the angle"
                             .to_string(),
@@ -976,7 +939,7 @@ impl Eval<'_, '_> {
                     }
                 }
                 "{" => {
-                    let Some(close) = matching_brace(self.toks, self.pos) else {
+                    let Some(close) = matching_close(self.toks, self.pos) else {
                         self.pos += 1;
                         return Dim::Unknown;
                     };
@@ -985,7 +948,7 @@ impl Eval<'_, '_> {
                     Dim::Unknown
                 }
                 "[" => {
-                    let Some(close) = self.matching_bracket(self.pos) else {
+                    let Some(close) = matching_close(self.toks, self.pos) else {
                         self.pos += 1;
                         return Dim::Unknown;
                     };
@@ -997,7 +960,7 @@ impl Eval<'_, '_> {
                 "#" => {
                     // Attribute on an expression: skip it, keep going.
                     if self.toks.get(self.pos + 1).is_some_and(|t| t.is_punct('[')) {
-                        if let Some(close) = self.matching_bracket(self.pos + 1) {
+                        if let Some(close) = matching_close(self.toks, self.pos + 1) {
                             self.pos = close + 1;
                             return self.primary();
                         }
@@ -1053,21 +1016,10 @@ impl Eval<'_, '_> {
         }
         // Macro invocation: scan the body, no dimension information.
         if self.toks.get(self.pos + 1).is_some_and(|t| t.is_punct('!')) {
-            if let Some(d) = self.toks.get(self.pos + 2) {
-                let close = if d.is_punct('(') {
-                    matching_close(self.toks, self.pos + 2)
-                } else if d.is_punct('[') {
-                    self.matching_bracket(self.pos + 2)
-                } else if d.is_punct('{') {
-                    matching_brace(self.toks, self.pos + 2)
-                } else {
-                    None
-                };
-                if let Some(close) = close {
-                    self.eval_args(self.pos + 3, close);
-                    self.pos = close + 1;
-                    return Dim::Unknown;
-                }
+            if let Some(close) = matching_close(self.toks, self.pos + 2) {
+                self.eval_args(self.pos + 3, close);
+                self.pos = close + 1;
+                return Dim::Unknown;
             }
         }
         // Path: `A::B::C` (turbofish segments skipped).
@@ -1119,7 +1071,7 @@ impl Eval<'_, '_> {
                             if arg.known() && arg != dim {
                                 self.report(
                                     &name_tok,
-                                    AstRule::UnitRawReentry,
+                                    Rule::UnitRawReentry,
                                     format!(
                                         "raw value carrying {} re-enters {}::{} \
                                          (expects {}); convert before wrapping",
@@ -1138,7 +1090,7 @@ impl Eval<'_, '_> {
                             if arg.known() && arg != Dim::Degrees {
                                 self.report(
                                     &name_tok,
-                                    AstRule::UnitRawReentry,
+                                    Rule::UnitRawReentry,
                                     format!(
                                         "Radians::from_degrees over a value carrying {}; \
                                          the argument must be degrees",
@@ -1214,7 +1166,7 @@ impl Analysis for HashAnalysis<'_> {
         tokens: &[Token],
         node: &CfgNode,
         fact: &BTreeSet<String>,
-        sink: &mut Vec<AstDiagnostic>,
+        sink: &mut Vec<Diagnostic>,
     ) -> BTreeSet<String> {
         let toks = &tokens[node.tokens.clone()];
         let mut fact = fact.clone();
@@ -1274,11 +1226,11 @@ impl Analysis for HashAnalysis<'_> {
                         .is_some_and(|o| toks.get(o).is_some_and(|t| t.is_punct('(')))
             });
             if reduced {
-                sink.push(AstDiagnostic {
+                sink.push(Diagnostic {
                     path: self.path.to_string(),
                     line: m.line,
                     col: m.col,
-                    rule: AstRule::UnorderedReduce,
+                    rule: Rule::UnorderedReduce,
                     message: format!(
                         "reduction over `{}.{}()` depends on hash iteration order; \
                          use a BTree collection or sort before reducing",
@@ -1361,7 +1313,7 @@ struct ParRegion {
 
 /// Region-based parallel-determinism scan over one function body (no fixed
 /// point needed: the checks are local to each parallel closure).
-fn par_scan(path: &str, tokens: &[Token], body: Range<usize>, out: &mut Vec<AstDiagnostic>) {
+fn par_scan(path: &str, tokens: &[Token], body: Range<usize>, out: &mut Vec<Diagnostic>) {
     let (lo, hi) = (body.start, body.end);
     let mut regions = Vec::new();
     let mut i = lo;
@@ -1401,11 +1353,11 @@ fn par_scan(path: &str, tokens: &[Token], body: Range<usize>, out: &mut Vec<AstD
                         collect_closures(tokens, open + 1, c.min(hi), &mut regions);
                     }
                     if PAR_REDUCE_METHODS.contains(&m.text.as_str()) {
-                        out.push(AstDiagnostic {
+                        out.push(Diagnostic {
                             path: path.to_string(),
                             line: m.line,
                             col: m.col,
-                            rule: AstRule::ParFloatAccum,
+                            rule: Rule::ParFloatAccum,
                             message: format!(
                                 "`.{}()` merges parallel results in nondeterministic order; \
                                  collect() in index order first, then reduce sequentially",
@@ -1484,7 +1436,7 @@ fn collect_closures(tokens: &[Token], lo: usize, hi: usize, out: &mut Vec<ParReg
             body_start = j;
         }
         let body_end = if tokens.get(body_start).is_some_and(|t| t.is_punct('{')) {
-            matching_brace(tokens, body_start)
+            matching_close(tokens, body_start)
                 .map(|e| (e + 1).min(hi))
                 .unwrap_or(hi)
         } else {
@@ -1610,7 +1562,7 @@ fn collect_param_names(params: &[Token], out: &mut BTreeSet<String>) {
 
 /// The two per-region checks: order-sensitive accumulation into captured
 /// state, and shared-mutable access.
-fn region_checks(path: &str, tokens: &[Token], region: &ParRegion, out: &mut Vec<AstDiagnostic>) {
+fn region_checks(path: &str, tokens: &[Token], region: &ParRegion, out: &mut Vec<Diagnostic>) {
     let declared = declared_names(tokens, region);
     let (lo, hi) = (region.body.start, region.body.end);
     for k in lo..hi {
@@ -1638,11 +1590,11 @@ fn region_checks(path: &str, tokens: &[Token], region: &ParRegion, out: &mut Vec
                 let base = &tokens[j];
                 if !is_keyword(&base.text) && !declared.contains(&base.text) || base.text == "self"
                 {
-                    out.push(AstDiagnostic {
+                    out.push(Diagnostic {
                         path: path.to_string(),
                         line: t.line,
                         col: t.col,
-                        rule: AstRule::ParFloatAccum,
+                        rule: Rule::ParFloatAccum,
                         message: format!(
                             "`{}` accumulates into captured state inside a parallel closure; \
                              results merge in nondeterministic order — return per-item values \
@@ -1661,11 +1613,11 @@ fn region_checks(path: &str, tokens: &[Token], region: &ParRegion, out: &mut Vec
             && tokens.get(k + 2).is_some_and(|n| n.is_punct('('))
         {
             let m = &tokens[k + 1];
-            out.push(AstDiagnostic {
+            out.push(Diagnostic {
                 path: path.to_string(),
                 line: m.line,
                 col: m.col,
-                rule: AstRule::ParSharedMut,
+                rule: Rule::ParSharedMut,
                 message: format!(
                     "`.{}()` touches shared mutable state inside a parallel closure; \
                      keep parallel closures pure and fan results in via the ordered collect",
@@ -1680,153 +1632,33 @@ fn region_checks(path: &str, tokens: &[Token], region: &ParRegion, out: &mut Vec
 // Driver
 // ---------------------------------------------------------------------------
 
-/// The `lint --flow` result: file/function totals plus diagnostics.
-#[derive(Debug, Default)]
-pub struct FlowReport {
-    /// Files analysed (after the standard skip set).
-    pub files: usize,
-    /// Functions whose CFGs were analysed.
-    pub functions: usize,
-    /// Post-waiver diagnostics, sorted by `(path, line, col, rule)`.
-    pub diagnostics: Vec<AstDiagnostic>,
-}
-
-impl FlowReport {
-    /// Renders the report in the shared JSON envelope.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        super::report_json_with(
-            self.files,
-            &[("functions", self.functions)],
-            &self.diagnostics,
-        )
-    }
-}
-
-/// Flow-lints a single source string as if it lived at `rel_path`,
-/// returning `(functions_analysed, diagnostics)`.
-#[must_use]
-pub fn flow_lint_source_counted(rel_path: &str, source: &str) -> (usize, Vec<AstDiagnostic>) {
-    if super::classify_ast(rel_path).is_none() {
-        return (0, Vec::new());
-    }
-    let masked = mask::mask(source);
-    let tokens = lexer::lex(source);
-    let allows = allow_lines(&masked);
-    let skip = |line: usize| {
-        let idx = line - 1;
-        masked.test.get(idx).copied().unwrap_or(false)
-            || masked.macro_body.get(idx).copied().unwrap_or(false)
-    };
-    let mut raw: Vec<AstDiagnostic> = Vec::new();
+/// Runs both analysis families over every fn of `file` outside test items
+/// and macro bodies, appending pre-waiver findings to `out`. Returns the
+/// number of functions analysed.
+pub fn analyse(path: &str, file: &Lexed, out: &mut Vec<Diagnostic>) -> usize {
+    let tokens = &file.tokens;
     let mut analysed = 0usize;
-    for f in cfg::find_fns(&tokens) {
-        if skip(f.line) {
+    let mut raw = Vec::new();
+    for f in cfg::find_fns(tokens) {
+        if file.skipped(f.line) {
             continue;
         }
         analysed += 1;
-        let graph = cfg::build_cfg(&tokens, f.body.clone());
+        let graph = cfg::build_cfg(tokens, f.body.clone());
         let unit = UnitAnalysis {
-            path: rel_path,
+            path,
             params: &f.params,
         };
-        run_to_fixpoint(&unit, &tokens, &graph, &mut raw);
+        run_to_fixpoint(&unit, tokens, &graph, &mut raw);
         let hash = HashAnalysis {
-            path: rel_path,
+            path,
             params: &f.params,
         };
-        run_to_fixpoint(&hash, &tokens, &graph, &mut raw);
-        par_scan(rel_path, &tokens, f.body.clone(), &mut raw);
+        run_to_fixpoint(&hash, tokens, &graph, &mut raw);
+        par_scan(path, tokens, f.body.clone(), &mut raw);
     }
-    raw.retain(|d| !skip(d.line));
-    raw.sort_by(|a, b| (a.line, a.col, a.rule.name()).cmp(&(b.line, b.col, b.rule.name())));
-    raw.dedup_by(|a, b| (a.line, a.col, a.rule) == (b.line, b.col, b.rule));
-    let mut out: Vec<AstDiagnostic> = raw
-        .iter()
-        .filter(|d| !allowed(&allows, &masked, d.line - 1, d.rule))
-        .cloned()
-        .collect();
-    flow_dead_waiver_audit(rel_path, &masked, &allows, &raw, &skip, &mut out);
-    out.sort_by(|a, b| (a.line, a.col, a.rule.name()).cmp(&(b.line, b.col, b.rule.name())));
-    out.dedup();
-    (analysed, out)
-}
-
-/// Flow-lints a single source string (fixture-test entry point).
-#[must_use]
-pub fn flow_lint_source(rel_path: &str, source: &str) -> Vec<AstDiagnostic> {
-    flow_lint_source_counted(rel_path, source).1
-}
-
-/// Flags `allow(...)` directives that name *only* flow rules but suppress
-/// nothing this pass can see. Mixed directives (flow + other layers) are
-/// left to whichever pass audits the other names.
-fn flow_dead_waiver_audit(
-    rel_path: &str,
-    masked: &MaskedFile,
-    allows: &[Vec<AstRule>],
-    raw: &[AstDiagnostic],
-    skip: &dyn Fn(usize) -> bool,
-    out: &mut Vec<AstDiagnostic>,
-) {
-    let is_flow = |n: &str| FLOW_RULES.iter().any(|r| r.name() == n);
-    for (idx, comment) in masked.comments.iter().enumerate() {
-        if skip(idx + 1) {
-            continue;
-        }
-        let Some((col0, names)) = parse_allow_names(comment) else {
-            continue;
-        };
-        if !names.iter().any(|n| is_flow(n)) || names.iter().any(|n| !is_flow(n)) {
-            continue;
-        }
-        let covered = super::extract::waiver_coverage(masked, idx);
-        let live = covered.is_some_and(|line0| {
-            raw.iter()
-                .any(|d| d.line == line0 + 1 && names.iter().any(|n| n == d.rule.name()))
-        });
-        if !live && !allowed(allows, masked, idx, AstRule::DeadWaiver) {
-            out.push(AstDiagnostic {
-                path: rel_path.to_string(),
-                line: idx + 1,
-                col: col0 + 1,
-                rule: AstRule::DeadWaiver,
-                message: format!(
-                    "flow waiver `allow({})` suppresses nothing here; \
-                     remove it or fix the rule list",
-                    names.join(", ")
-                ),
-            });
-        }
-    }
-}
-
-/// Flow-lints every workspace `.rs` file under `workspace_root`.
-///
-/// # Errors
-///
-/// Returns any I/O error from walking or reading the tree.
-pub fn run_flow_lint(workspace_root: &Path) -> std::io::Result<FlowReport> {
-    let mut report = FlowReport::default();
-    for path in crate::collect_rust_files(workspace_root)? {
-        let rel = path
-            .strip_prefix(workspace_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if super::classify_ast(&rel).is_none() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        report.files += 1;
-        let (fns, mut diags) = flow_lint_source_counted(&rel, &source);
-        report.functions += fns;
-        report.diagnostics.append(&mut diags);
-    }
-    report.diagnostics.sort_by(|a, b| {
-        (&a.path, a.line, a.col, a.rule.name()).cmp(&(&b.path, b.line, b.col, b.rule.name()))
-    });
-    Ok(report)
+    out.extend(raw.into_iter().filter(|d| !file.skipped(d.line)));
+    analysed
 }
 
 #[cfg(test)]
@@ -1835,22 +1667,22 @@ mod tests {
 
     const FIXTURE: &str = "crates/reach/src/fixture.rs";
 
-    fn fired(src: &str, rule: AstRule) -> bool {
-        flow_lint_source(FIXTURE, src)
-            .iter()
-            .any(|d| d.rule == rule)
+    fn fired(src: &str, rule: Rule) -> bool {
+        let mut out = Vec::new();
+        analyse(FIXTURE, &crate::ast::lexer::lex(src), &mut out);
+        out.iter().any(|d| d.rule == rule)
     }
 
     #[test]
     fn mixed_dimension_addition_fires() {
         let src = "pub fn f(d: Meters, t: Seconds) -> f64 { d.get() + t.get() }\n";
-        assert!(fired(src, AstRule::UnitMixedDim));
+        assert!(fired(src, Rule::UnitMixedDim));
     }
 
     #[test]
     fn same_dimension_addition_is_silent() {
         let src = "pub fn f(a: Meters, b: Meters) -> f64 { a.get() + b.get() }\n";
-        assert!(!fired(src, AstRule::UnitMixedDim));
+        assert!(!fired(src, Rule::UnitMixedDim));
     }
 
     #[test]
@@ -1860,7 +1692,7 @@ mod tests {
                    let x = if c { 1.0 } else { 2.0 };\n\
                    d + dt.get() + x\n}\n";
         // `d` is length, `dt` is time: the second `+` mixes them.
-        assert!(fired(src, AstRule::UnitMixedDim));
+        assert!(fired(src, Rule::UnitMixedDim));
     }
 
     #[test]
@@ -1868,31 +1700,31 @@ mod tests {
         let src = "pub fn f(v: MetersPerSecond, dt: Seconds, d0: Meters) -> f64 {\n\
                    let d = v.get() * dt.get();\n\
                    d + d0.get()\n}\n";
-        assert!(!fired(src, AstRule::UnitMixedDim));
+        assert!(!fired(src, Rule::UnitMixedDim));
     }
 
     #[test]
     fn raw_reentry_with_wrong_dimension_fires() {
         let src = "pub fn f(t: Seconds) -> Meters { Meters::new(t.get()) }\n";
-        assert!(fired(src, AstRule::UnitRawReentry));
+        assert!(fired(src, Rule::UnitRawReentry));
     }
 
     #[test]
     fn raw_reentry_with_matching_dimension_is_silent() {
         let src = "pub fn f(d: Meters) -> Meters { Meters::new(d.get() * 2.0) }\n";
-        assert!(!fired(src, AstRule::UnitRawReentry));
+        assert!(!fired(src, Rule::UnitRawReentry));
     }
 
     #[test]
     fn trig_on_degrees_fires() {
         let src = "pub fn f() -> f64 { let heading_deg = 45.0; heading_deg.sin() }\n";
-        assert!(fired(src, AstRule::UnitAngleRaw));
+        assert!(fired(src, Rule::UnitAngleRaw));
     }
 
     #[test]
     fn trig_on_radians_is_silent() {
         let src = "pub fn f(a: Radians) -> f64 { a.get().sin() }\n";
-        assert!(!fired(src, AstRule::UnitAngleRaw));
+        assert!(!fired(src, Rule::UnitAngleRaw));
     }
 
     #[test]
@@ -1901,50 +1733,38 @@ mod tests {
                    let mut total = 0.0;\n\
                    parallel_map(xs, |x| { total += x; });\n\
                    total\n}\n";
-        assert!(fired(src, AstRule::ParFloatAccum));
+        assert!(fired(src, Rule::ParFloatAccum));
     }
 
     #[test]
     fn local_accumulation_in_parallel_closure_is_silent() {
         let src = "pub fn f(xs: &[Vec<f64>]) -> Vec<f64> {\n\
                    parallel_map(xs, |row| { let mut acc = 0.0; for v in row { acc += v; } acc })\n}\n";
-        assert!(!fired(src, AstRule::ParFloatAccum));
+        assert!(!fired(src, Rule::ParFloatAccum));
     }
 
     #[test]
     fn lock_in_parallel_closure_fires() {
         let src = "pub fn f(xs: &[f64]) {\n\
                    parallel_map(xs, |x| { shared.lock().unwrap().push(*x); });\n}\n";
-        assert!(fired(src, AstRule::ParSharedMut));
+        assert!(fired(src, Rule::ParSharedMut));
     }
 
     #[test]
     fn par_iter_sum_fires() {
         let src = "pub fn f(xs: &[f64]) -> f64 { xs.par_iter().map(|x| x * 2.0).sum() }\n";
-        assert!(fired(src, AstRule::ParFloatAccum));
+        assert!(fired(src, Rule::ParFloatAccum));
     }
 
     #[test]
     fn hash_map_iterate_then_reduce_fires() {
         let src = "pub fn f(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n";
-        assert!(fired(src, AstRule::UnorderedReduce));
+        assert!(fired(src, Rule::UnorderedReduce));
     }
 
     #[test]
     fn btree_map_iterate_then_reduce_is_silent() {
         let src = "pub fn f(m: &BTreeMap<u32, f64>) -> f64 { m.values().sum() }\n";
-        assert!(!fired(src, AstRule::UnorderedReduce));
-    }
-
-    #[test]
-    fn waiver_suppresses_and_dead_waiver_fires() {
-        let waived = "pub fn f(d: Meters, t: Seconds) -> f64 {\n\
-                      // iprism-lint: allow(unit-mixed-dim)\n\
-                      d.get() + t.get()\n}\n";
-        assert!(flow_lint_source(FIXTURE, waived).is_empty());
-        let dead = "pub fn f(a: f64) -> f64 {\n\
-                    // iprism-lint: allow(unit-mixed-dim)\n\
-                    a * 2.0\n}\n";
-        assert!(fired(dead, AstRule::DeadWaiver));
+        assert!(!fired(src, Rule::UnorderedReduce));
     }
 }

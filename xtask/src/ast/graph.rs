@@ -1,37 +1,38 @@
 //! Workspace call graph and hot-path taint propagation.
 //!
-//! `cargo xtask lint --graph` builds a best-effort call graph over every
-//! workspace `.rs` file from the per-file extraction in [`super::extract`],
-//! then runs fixed-point taint propagation for the three hot-path
-//! properties (panic-reachability, allocation, nondeterminism). A function
-//! opts into certification with a `// iprism: hot-path(...)` marker; any
-//! marked function that transitively reaches a taint source is reported
-//! with its full witness chain (`a → b → c: alloc via Vec::push at
-//! file:line`), so every violation is a readable proof.
+//! The lint pass builds a best-effort call graph over every workspace `.rs`
+//! file from the per-file extraction in [`super::extract`], then runs
+//! fixed-point taint propagation for the three hot-path properties
+//! (panic-reachability, allocation, nondeterminism). A function opts into
+//! certification with a `// iprism: hot-path(...)` marker; any marked
+//! function that transitively reaches a taint source is reported with its
+//! full witness chain (`a → b → c: alloc via Vec::push at file:line`), so
+//! every violation is a readable proof.
 //!
 //! Name resolution is deliberately best-effort: a call resolves to every
 //! workspace `fn` whose name (and receiver shape) matches, narrowed by the
 //! caller's Cargo dependency closure so e.g. an `.step(..)` in `crates/rl`
 //! can never resolve into `crates/sim`, which `iprism-rl` does not depend
 //! on. Calls with no workspace candidate (std, shims outside the closure)
-//! are *unresolved*; their count is surfaced in the `--json` report so the
-//! soundness gap is visible, not silent.
+//! are *unresolved*; their count is surfaced in the report so the soundness
+//! gap is visible, not silent.
 //!
 //! Waivers reuse the standard `// iprism-lint: allow(<rule>)` mechanism
 //! with the graph rule names: a waiver on a line kills the direct sources
-//! on that line *and* cuts call edges originating there, and the pass runs
-//! its own dead-waiver audit over hot-path directives.
+//! on that line *and* cuts call edges originating there.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::path::Path;
 
-use super::extract::{extract_file, Call, CallTarget, FileExtract, HotProp, SourceHit, ALL_PROPS};
-use super::{AstDiagnostic, AstRule};
+use super::extract::{extract_file, Call, CallTarget, FileExtract, HotProp, ALL_PROPS};
+use super::lexer::lex;
+use super::{Diagnostic, Waivers};
 
-/// Headline numbers for the `--graph` report.
+/// Call-graph headline numbers of a lint report.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct GraphStats {
-    /// Files included in the graph (same skip set as the other passes).
+    /// Files included in the graph: every file the pass lints.
     pub files: usize,
     /// `fn` items extracted.
     pub functions: usize,
@@ -44,35 +45,6 @@ pub struct GraphStats {
     pub markers: usize,
 }
 
-/// The result of a full `lint --graph` run.
-#[derive(Debug, Clone, Default)]
-pub struct GraphReport {
-    /// Headline numbers.
-    pub stats: GraphStats,
-    /// Certification violations, marker errors and dead waivers, sorted by
-    /// `(path, line, col, rule)`.
-    pub diagnostics: Vec<AstDiagnostic>,
-}
-
-impl GraphReport {
-    /// Renders the report as a JSON document for CI consumption (the shared
-    /// envelope from [`super::render_report`], with the graph headline
-    /// counts between `files_checked` and `violations`).
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        super::report_json_with(
-            self.stats.files,
-            &[
-                ("functions", self.stats.functions),
-                ("edges", self.stats.edges),
-                ("unresolved_edges", self.stats.unresolved),
-                ("hot_path_markers", self.stats.markers),
-            ],
-            &self.diagnostics,
-        )
-    }
-}
-
 /// Workspace dependency closure, parsed from the `Cargo.toml` manifests.
 /// Maps each crate directory to the set of crate directories its
 /// `[dependencies]` transitively reach (including itself).
@@ -83,36 +55,14 @@ pub struct DepClosure {
 }
 
 impl DepClosure {
-    /// Parses every workspace manifest under `root`. Missing or partial
-    /// manifests degrade to "no narrowing" for the affected files.
+    /// Builds the closure from `(package dir, Cargo.toml text)` pairs, the
+    /// root package's dir being `""`. Files outside every listed package,
+    /// or in one whose manifest names no package, get no narrowing.
     #[must_use]
-    pub fn load(root: &Path) -> DepClosure {
-        let mut manifests: Vec<(String, String)> = Vec::new(); // (dir, toml)
-        let push = |dir: &str, manifests: &mut Vec<(String, String)>| {
-            if let Ok(text) = std::fs::read_to_string(root.join(dir).join("Cargo.toml")) {
-                manifests.push((dir.to_string(), text));
-            }
-        };
-        push("", &mut manifests);
-        push("xtask", &mut manifests);
-        for parent in ["crates", "shims"] {
-            let Ok(entries) = std::fs::read_dir(root.join(parent)) else {
-                continue;
-            };
-            let mut dirs: Vec<String> = entries
-                .flatten()
-                .filter(|e| e.path().is_dir())
-                .map(|e| format!("{parent}/{}", e.file_name().to_string_lossy()))
-                .collect();
-            dirs.sort();
-            for dir in dirs {
-                push(&dir, &mut manifests);
-            }
-        }
-
+    pub fn new(manifests: &[(String, String)]) -> DepClosure {
         let mut name_to_dir: BTreeMap<String, String> = BTreeMap::new();
         let mut deps_of: BTreeMap<String, Vec<String>> = BTreeMap::new(); // dir -> dep names
-        for (dir, toml) in &manifests {
+        for (dir, toml) in manifests {
             let (name, deps) = parse_manifest(toml);
             if let Some(name) = name {
                 name_to_dir.insert(name, dir.clone());
@@ -237,6 +187,8 @@ pub struct CallGraph {
     /// Per node, indices of edges whose callee is that node.
     callers_of: Vec<Vec<usize>>,
     unresolved: usize,
+    /// Per property (see [`HotProp::idx`]), per node: how it is tainted.
+    taints: Vec<Vec<Option<Witness>>>,
 }
 
 impl CallGraph {
@@ -275,13 +227,16 @@ impl CallGraph {
         for (ei, e) in edges.iter().enumerate() {
             callers_of[e.callee].push(ei);
         }
-        CallGraph {
+        let mut graph = CallGraph {
             files,
             nodes,
             edges,
             callers_of,
             unresolved,
-        }
+            taints: Vec::new(),
+        };
+        graph.taints = ALL_PROPS.iter().map(|&p| graph.taint(p)).collect();
+        graph
     }
 
     fn def(&self, n: usize) -> &super::extract::FnDef {
@@ -355,27 +310,21 @@ impl CallGraph {
         self.files[..fi].iter().map(|f| f.fns.len()).sum::<usize>() + li
     }
 
-    /// Runs certification: marker violations (with witness chains), marker
-    /// syntax errors and the graph-side dead-waiver audit.
+    /// Runs certification: every marked fn that reaches an unwaived source
+    /// of a property it demands, with its witness chain. Waivers act on
+    /// sources and edges during taint, so these findings are final.
     #[must_use]
-    pub fn lint(&self) -> Vec<AstDiagnostic> {
-        let mut out: Vec<AstDiagnostic> = self
-            .files
-            .iter()
-            .flat_map(|f| f.errors.iter().cloned())
-            .collect();
-
-        let taints: Vec<Vec<Option<Witness>>> = ALL_PROPS.iter().map(|&p| self.taint(p)).collect();
-
+    pub fn violations(&self) -> Vec<Diagnostic> {
+        let mut out = Vec::new();
         for n in 0..self.nodes.len() {
             let def = self.def(n);
             for &prop in &def.props {
-                let Some(w) = &taints[prop.idx()][n] else {
+                let taint = &self.taints[prop.idx()];
+                let Some(w) = &taint[n] else {
                     continue;
                 };
-                let file = &self.files[self.nodes[n].file];
-                out.push(AstDiagnostic {
-                    path: file.path.clone(),
+                out.push(Diagnostic {
+                    path: self.files[self.nodes[n].file].path.clone(),
                     line: def.line,
                     col: def.col,
                     rule: prop.rule(),
@@ -388,18 +337,27 @@ impl CallGraph {
                             HotProp::NoAlloc => "an allocation",
                             HotProp::Deterministic => "a nondeterminism source",
                         },
-                        self.chain(n, prop, w, &taints[prop.idx()])
+                        self.chain(n, prop, w, taint)
                     ),
                 });
             }
         }
-
-        self.dead_waivers(&taints, &mut out);
-        out.sort_by(|a, b| {
-            (&a.path, a.line, a.col, a.rule.name()).cmp(&(&b.path, b.line, b.col, b.rule.name()))
-        });
-        out.dedup_by(|a, b| (&a.path, a.line, a.col, a.rule) == (&b.path, b.line, b.col, b.rule));
         out
+    }
+
+    /// Is a waiver of `prop` on 0-based `lines` of file `fi` live: do the
+    /// lines hold a matching source (waived or not: removing the waiver
+    /// would seed it) or a call edge into a callee tainted with `prop` (the
+    /// waiver is cutting that edge)?
+    pub(crate) fn waiver_live(&self, fi: usize, lines: Range<usize>, prop: HotProp) -> bool {
+        let covers = |line: usize| lines.contains(&(line - 1));
+        self.files[fi]
+            .sources
+            .iter()
+            .any(|s| s.prop == prop && covers(s.line))
+            || self.edges.iter().any(|e| {
+                e.file == fi && covers(e.line) && self.taints[prop.idx()][e.callee].is_some()
+            })
     }
 
     /// Renders the witness chain `a → b → c: alloc via `what` at file:line:col`.
@@ -445,39 +403,6 @@ impl CallGraph {
             names.join(" → "),
             prop.label()
         )
-    }
-
-    /// Graph-side dead-waiver audit: an `allow(hot-path-*)` directive is
-    /// live when a covered line carries a matching direct source (waived
-    /// sources included — removing the waiver would seed them) or a call
-    /// edge to a tainted callee (the waiver is cutting that edge).
-    fn dead_waivers(&self, taints: &[Vec<Option<Witness>>], out: &mut Vec<AstDiagnostic>) {
-        for (fi, file) in self.files.iter().enumerate() {
-            for hw in &file.hot_waivers {
-                let source_live =
-                    |s: &SourceHit| hw.covered.contains(&s.line) && hw.props.contains(&s.prop);
-                let edge_live = |e: &Edge| {
-                    e.file == fi
-                        && hw.covered.contains(&e.line)
-                        && hw.props.iter().any(|p| taints[p.idx()][e.callee].is_some())
-                };
-                let live = file.sources.iter().any(source_live) || self.edges.iter().any(edge_live);
-                if !live {
-                    let names: Vec<&str> = hw.props.iter().map(|p| p.rule().name()).collect();
-                    out.push(AstDiagnostic {
-                        path: file.path.clone(),
-                        line: hw.line,
-                        col: hw.col,
-                        rule: AstRule::DeadWaiver,
-                        message: format!(
-                            "hot-path waiver `allow({})` suppresses nothing: no matching \
-                             source or tainted call edge on the covered line",
-                            names.join(", ")
-                        ),
-                    });
-                }
-            }
-        }
     }
 
     /// Shortest call path between two functions named by `Type::name` or
@@ -583,61 +508,20 @@ fn resolve(
     matched.len()
 }
 
-/// Graph-lints a set of in-memory sources (the fixture-test entry point;
-/// no dependency narrowing — every file sees every other).
-#[must_use]
-pub fn graph_lint_sources(sources: &[(&str, &str)]) -> GraphReport {
-    let graph = build_graph_sources(sources);
-    let diagnostics = graph.lint();
-    GraphReport {
-        stats: graph.stats(),
-        diagnostics,
-    }
-}
-
-/// Builds (but does not lint) a graph over in-memory sources.
-#[must_use]
-pub fn build_graph_sources(sources: &[(&str, &str)]) -> CallGraph {
-    let files: Vec<FileExtract> = sources
-        .iter()
-        .map(|(path, src)| extract_file(path, src))
-        .collect();
-    CallGraph::build(files, None)
-}
-
-/// Builds the call graph over the real workspace tree.
+/// Builds the call graph over the real workspace tree, as the lint pass
+/// does; the golden call-chain tests query it.
 ///
 /// # Errors
 ///
 /// Returns any I/O error from walking or reading the tree.
 pub fn build_workspace_graph(workspace_root: &Path) -> std::io::Result<CallGraph> {
-    let deps = DepClosure::load(workspace_root);
-    let mut files = Vec::new();
-    for path in crate::collect_rust_files(workspace_root)? {
-        let rel = path
-            .strip_prefix(workspace_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if crate::classify(&rel).is_none() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        files.push(extract_file(&rel, &source));
-    }
+    let (sources, deps) = crate::read_workspace(workspace_root)?;
+    let files = sources
+        .iter()
+        .map(|(path, source)| {
+            let file = lex(source);
+            extract_file(path, &file, &Waivers::parse(&file), &mut Vec::new())
+        })
+        .collect();
     Ok(CallGraph::build(files, Some(&deps)))
-}
-
-/// Runs the full `lint --graph` pass over the workspace.
-///
-/// # Errors
-///
-/// Returns any I/O error from walking or reading the tree.
-pub fn run_graph_lint(workspace_root: &Path) -> std::io::Result<GraphReport> {
-    let graph = build_workspace_graph(workspace_root)?;
-    let diagnostics = graph.lint();
-    Ok(GraphReport {
-        stats: graph.stats(),
-        diagnostics,
-    })
 }

@@ -1,12 +1,15 @@
-//! A self-contained Rust lexer producing position-tagged tokens.
+//! The lint pass's one front end: a self-contained Rust lexer producing
+//! position-tagged tokens, plus the per-line facts that tokens alone do not
+//! carry.
 //!
 //! The build environment is offline, so `proc-macro2`/`syn` are unavailable;
-//! this lexer understands exactly the lexical grammar the AST rules need:
-//! comments (skipped), string/raw-string/byte-string literals, char literals
-//! vs lifetimes, numeric literals with a float/int distinction, identifiers
-//! and single-character punctuation. Multi-character operators come out as
-//! adjacent punctuation tokens (`->` is `-` then `>`), which the rule
-//! matchers handle explicitly where it matters.
+//! this lexer understands exactly the lexical grammar the rules need:
+//! comments (kept per line, out of the token stream), string/raw-string/
+//! byte-string literals, char literals vs lifetimes, numeric literals with a
+//! float/int distinction, identifiers and single-character punctuation.
+//! Multi-character operators come out as adjacent punctuation tokens (`->`
+//! is `-` then `>`), which the rule matchers handle explicitly where it
+//! matters.
 
 /// Lexical class of a [`Token`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -63,10 +66,164 @@ fn is_ident_continue(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 
-/// Lexes `source` into tokens, skipping whitespace and comments.
+/// One lexed source file: the token stream plus the per-line facts the
+/// rules read beyond tokens. Lines are 0-based here; tokens carry 1-based
+/// positions.
+#[derive(Debug, Clone)]
+pub struct Lexed {
+    /// Tokens in source order; whitespace and comments are dropped.
+    pub tokens: Vec<Token>,
+    /// Per line, the text of its comments with everything else blanked to
+    /// spaces, so char columns match the source. Waiver directives and
+    /// hot-path markers are read from here.
+    pub comments: Vec<String>,
+    /// Per line, `true` when a token starts or ends on it.
+    pub code: Vec<bool>,
+    /// Per line, the original source text.
+    pub lines: Vec<String>,
+    /// Per line, `true` inside a `#[cfg(test)]`, `#[test]` or `#[ignore]`
+    /// item.
+    pub test: Vec<bool>,
+    /// Per line, `true` inside a `macro_rules!` definition.
+    pub macro_body: Vec<bool>,
+}
+
+impl Lexed {
+    /// Does 0-based line `idx` hold a comment and no code? A directive on
+    /// such a line binds to the code below it.
+    #[must_use]
+    pub fn comment_only(&self, idx: usize) -> bool {
+        !self.code[idx] && !self.comments[idx].trim().is_empty()
+    }
+
+    /// Is 1-based `line` inside a test item or a `macro_rules!` body? The
+    /// structural rules skip both: test code may panic and allocate, and a
+    /// macro body is a template, not an item.
+    #[must_use]
+    pub fn skipped(&self, line: usize) -> bool {
+        self.test[line - 1] || self.macro_body[line - 1]
+    }
+}
+
+/// Lexes `source` once, for every rule family.
 #[must_use]
-pub fn lex(source: &str) -> Vec<Token> {
-    Lexer::new(source).run()
+pub fn lex(source: &str) -> Lexed {
+    let lines: Vec<String> = source.split('\n').map(str::to_string).collect();
+    let mut lexer = Lexer {
+        chars: source.chars().collect(),
+        i: 0,
+        line: 1,
+        col: 1,
+        in_comment: false,
+        tokens: Vec::new(),
+        comments: vec![String::new(); lines.len()],
+        code: vec![false; lines.len()],
+    };
+    lexer.run();
+    let test = mark_regions(&lexer.tokens, lines.len(), |tokens, i| {
+        attr_text(tokens, i).is_some_and(|text| {
+            text == "[test]"
+                || text == "[ignore]"
+                || ["cfg(test)", "cfg(all(test", "cfg(any(test"]
+                    .iter()
+                    .any(|p| text.contains(p))
+        })
+    });
+    let macro_body = mark_regions(&lexer.tokens, lines.len(), |tokens, i| {
+        tokens[i].is_ident("macro_rules") && tokens.get(i + 1).is_some_and(|t| t.is_punct('!'))
+    });
+    Lexed {
+        tokens: lexer.tokens,
+        comments: lexer.comments,
+        code: lexer.code,
+        lines,
+        test,
+        macro_body,
+    }
+}
+
+/// The attribute opening at `tokens[hash]` (`#[...]` or `#![...]`) as its
+/// token texts without spaces (`[cfg(test)]`), or `None` when no attribute
+/// starts there.
+fn attr_text(tokens: &[Token], hash: usize) -> Option<String> {
+    if !tokens[hash].is_punct('#') {
+        return None;
+    }
+    let mut i = hash + 1;
+    if tokens.get(i)?.is_punct('!') {
+        i += 1;
+    }
+    if !tokens.get(i)?.is_punct('[') {
+        return None;
+    }
+    let mut text = String::new();
+    let mut depth = 0i32;
+    for t in &tokens[i..] {
+        text.push_str(&t.text);
+        if t.is_punct('[') {
+            depth += 1;
+        } else if t.is_punct(']') {
+            depth -= 1;
+            if depth == 0 {
+                break;
+            }
+        }
+    }
+    Some(text)
+}
+
+/// Marks, per line, the item starting at every token where `starts` holds.
+fn mark_regions(
+    tokens: &[Token],
+    lines: usize,
+    starts: impl Fn(&[Token], usize) -> bool,
+) -> Vec<bool> {
+    let mut marked = vec![false; lines];
+    for i in 0..tokens.len() {
+        if !marked[tokens[i].line - 1] && starts(tokens, i) {
+            mark_item(tokens, i, &mut marked);
+        }
+    }
+    marked
+}
+
+/// Marks the lines of the item that starts at `tokens[start]`: through the
+/// matching `}` of its first `{`, or through its first `;` outside
+/// brackets when that comes before any brace (`#[cfg(test)] use foo;`). A
+/// `}` closing an *enclosing* scope also ends it, so a field-level
+/// attribute never swallows the items after its struct. An item left open
+/// runs to the end of the file.
+fn mark_item(tokens: &[Token], start: usize, marked: &mut [bool]) {
+    let mut brace = 0i32;
+    let mut bracket = 0i32;
+    let mut seen_brace = false;
+    let mut end = marked.len();
+    for t in &tokens[start..] {
+        if t.kind != Kind::Punct {
+            continue;
+        }
+        match t.text.as_str() {
+            "[" => bracket += 1,
+            "]" => bracket -= 1,
+            "{" => {
+                brace += 1;
+                seen_brace = true;
+            }
+            "}" => {
+                brace -= 1;
+                if brace < 0 || (seen_brace && brace == 0) {
+                    end = t.line;
+                    break;
+                }
+            }
+            ";" if !seen_brace && brace == 0 && bracket == 0 => {
+                end = t.line;
+                break;
+            }
+            _ => {}
+        }
+    }
+    marked[tokens[start].line - 1..end].fill(true);
 }
 
 struct Lexer {
@@ -74,25 +231,20 @@ struct Lexer {
     i: usize,
     line: usize,
     col: usize,
-    out: Vec<Token>,
+    /// Inside a comment: [`Lexer::bump`] copies chars into `comments`.
+    in_comment: bool,
+    tokens: Vec<Token>,
+    comments: Vec<String>,
+    code: Vec<bool>,
 }
 
 impl Lexer {
-    fn new(source: &str) -> Self {
-        Lexer {
-            chars: source.chars().collect(),
-            i: 0,
-            line: 1,
-            col: 1,
-            out: Vec::new(),
-        }
-    }
-
     fn peek(&self, ahead: usize) -> Option<char> {
         self.chars.get(self.i + ahead).copied()
     }
 
-    /// Advances one char, maintaining the line/col counters.
+    /// Advances one char, maintaining the line/col counters and the
+    /// comment text of the current line.
     fn bump(&mut self) -> Option<char> {
         let c = self.chars.get(self.i).copied()?;
         self.i += 1;
@@ -100,9 +252,21 @@ impl Lexer {
             self.line += 1;
             self.col = 1;
         } else {
+            if self.in_comment {
+                self.comments[self.line - 1].push(c);
+            }
             self.col += 1;
         }
         Some(c)
+    }
+
+    /// Starts copying a comment into its line's text, padded with spaces
+    /// to the comment's column.
+    fn open_comment(&mut self) {
+        let text = &mut self.comments[self.line - 1];
+        let pad = (self.col - 1).saturating_sub(text.chars().count());
+        text.extend(std::iter::repeat_n(' ', pad));
+        self.in_comment = true;
     }
 
     /// Consumes chars while `pred` holds, appending them to `text`.
@@ -116,8 +280,11 @@ impl Lexer {
         }
     }
 
+    /// Emits a token that started at `line:col` and ends at the cursor.
     fn push(&mut self, kind: Kind, text: String, line: usize, col: usize) {
-        self.out.push(Token {
+        self.code[line - 1] = true;
+        self.code[self.line - 1] = true;
+        self.tokens.push(Token {
             kind,
             text,
             line,
@@ -125,17 +292,21 @@ impl Lexer {
         });
     }
 
-    fn run(mut self) -> Vec<Token> {
+    fn run(&mut self) {
         while let Some(c) = self.peek(0) {
             let (line, col) = (self.line, self.col);
             if c.is_whitespace() {
                 self.bump();
             } else if c == '/' && self.peek(1) == Some('/') {
+                self.open_comment();
                 while self.peek(0).is_some_and(|c| c != '\n') {
                     self.bump();
                 }
+                self.in_comment = false;
             } else if c == '/' && self.peek(1) == Some('*') {
+                self.open_comment();
                 self.block_comment();
+                self.in_comment = false;
             } else if let Some((prefix, hashes)) = self.raw_string_lookahead() {
                 self.raw_string(prefix, hashes);
                 self.push(Kind::Str, String::new(), line, col);
@@ -162,7 +333,6 @@ impl Lexer {
                 self.push(Kind::Punct, c.to_string(), line, col);
             }
         }
-        self.out
     }
 
     fn block_comment(&mut self) {
@@ -327,12 +497,16 @@ mod tests {
     use super::*;
 
     fn kinds(src: &str) -> Vec<(Kind, String)> {
-        lex(src).into_iter().map(|t| (t.kind, t.text)).collect()
+        lex(src)
+            .tokens
+            .into_iter()
+            .map(|t| (t.kind, t.text))
+            .collect()
     }
 
     #[test]
     fn idents_puncts_and_positions() {
-        let toks = lex("fn f(x: f64) {}");
+        let toks = lex("fn f(x: f64) {}").tokens;
         assert_eq!(
             toks[0],
             Token {
@@ -351,7 +525,7 @@ mod tests {
 
     #[test]
     fn line_tracking_across_newlines() {
-        let toks = lex("a\n  b\nc");
+        let toks = lex("a\n  b\nc").tokens;
         assert_eq!((toks[1].line, toks[1].col), (2, 3));
         assert_eq!((toks[2].line, toks[2].col), (3, 1));
     }
@@ -428,5 +602,107 @@ mod tests {
                 (Kind::Punct, ")".into()),
             ]
         );
+    }
+
+    #[test]
+    fn comments_keep_their_text_and_columns_per_line() {
+        let f = lex("let x = 1; // trailing panic!()\n/* block */ let y = 2;\n");
+        assert_eq!(f.comments[0].find("// trailing panic!()"), Some(11));
+        assert_eq!(f.comments[1].trim_end(), "/* block */");
+        assert!(f.code[0] && f.code[1] && !f.code[2]);
+        assert!(!f.comment_only(0));
+        assert_eq!(f.lines[1], "/* block */ let y = 2;");
+    }
+
+    #[test]
+    fn nested_block_comments_close_at_matching_depth() {
+        let f = lex("/* outer /* inner */ still comment */ let x = 1;\n/* a\n b */\n");
+        assert!(f.comments[0].contains("still comment"));
+        assert_eq!(f.tokens[0].text, "let");
+        assert_eq!(f.tokens.len(), 5);
+        // A block comment spanning lines is comment text on each of them.
+        assert!(f.comment_only(1) && f.comment_only(2));
+    }
+
+    #[test]
+    fn raw_string_after_keyword_is_one_literal() {
+        // Regression: `return r"..."` once read as a normal string, so the
+        // embedded backslash swallowed the closing quote and desynced the
+        // rest of the file.
+        let toks = kinds("fn p() -> &'static str { return r\"a\\\"; }\nlet t = 1;\n");
+        assert_eq!(toks.iter().filter(|(k, _)| *k == Kind::Str).count(), 1);
+        assert!(toks.ends_with(&[
+            (Kind::Punct, "}".into()),
+            (Kind::Ident, "let".into()),
+            (Kind::Ident, "t".into()),
+            (Kind::Punct, "=".into()),
+            (Kind::Int, "1".into()),
+            (Kind::Punct, ";".into()),
+        ]));
+        let toks = kinds("fn p() -> &'static [u8] { return br\"a\\\"; }\nx.unwrap();\n");
+        assert!(toks.iter().any(|(_, t)| t == "unwrap"));
+    }
+
+    #[test]
+    fn multi_hash_raw_strings_only_close_on_matching_hashes() {
+        let toks = kinds("let s = r##\"inner \"# still inside\"##; let t = 1;\n");
+        assert!(toks.iter().all(|(_, t)| t != "still" && t != "inside"));
+        assert_eq!(toks.iter().filter(|(k, _)| *k == Kind::Str).count(), 1);
+        assert!(toks.iter().any(|(_, t)| t == "t"));
+    }
+
+    #[test]
+    fn byte_char_quote_does_not_open_a_string() {
+        // Regression: `b'"'` once left the scanner inside a phantom string,
+        // swallowing the rest of the file.
+        let toks = kinds("let q = b'\"'; let x: Option<u32> = None; x.unwrap();\n");
+        assert_eq!(toks.iter().filter(|(k, _)| *k == Kind::Char).count(), 1);
+        assert!(toks.iter().any(|(_, t)| t == "unwrap"));
+    }
+
+    #[test]
+    fn escapes_and_quote_chars_never_desync_the_stream() {
+        for src in [
+            r#"let s = "a\"b"; let t = 1;"#,
+            r#"let q = '"'; let t = 1;"#,
+            r"let a = b'\n'; let t = 1;",
+            r##"fn p() -> &'static str { return r#"has "quotes""#; } let t = 1;"##,
+            r#"let v = var"s"; let t = 1;"#,
+        ] {
+            let toks = kinds(src);
+            assert!(
+                toks.ends_with(&[
+                    (Kind::Ident, "let".into()),
+                    (Kind::Ident, "t".into()),
+                    (Kind::Punct, "=".into()),
+                    (Kind::Int, "1".into()),
+                    (Kind::Punct, ";".into()),
+                ]),
+                "{src}: {toks:?}"
+            );
+        }
+        // An identifier ending in `r` is not a raw-string prefix.
+        assert!(kinds(r#"var"s""#).starts_with(&[(Kind::Ident, "var".into())]));
+    }
+
+    #[test]
+    fn cfg_test_regions_run_through_the_closing_brace() {
+        let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn t() {}\n}\nfn after() {}\n";
+        assert_eq!(lex(src).test[0..6], [false, true, true, true, true, false]);
+        let src = "#[cfg(test)]\nuse foo;\nfn after() {}\n#[test]\nfn t() {}\n";
+        assert_eq!(lex(src).test[0..5], [true, true, false, true, true]);
+    }
+
+    #[test]
+    fn field_level_attribute_does_not_swallow_later_items() {
+        let src = "struct S {\n    #[cfg(test)]\n    probe: u32,\n}\nfn after() {}\n";
+        assert_eq!(lex(src).test[0..5], [false, true, true, true, false]);
+    }
+
+    #[test]
+    fn macro_rules_bodies_are_marked() {
+        let f = lex("macro_rules! m {\n    () => {};\n}\nfn after() {}\n");
+        assert_eq!(f.macro_body[0..4], [true, true, true, false]);
+        assert!(f.skipped(2) && !f.skipped(4));
     }
 }

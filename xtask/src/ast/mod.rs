@@ -1,17 +1,17 @@
-//! AST-level static analysis: determinism, dimensional safety, NaN hygiene.
+//! The rule namespace of the lint pass: one [`Rule`] enum, one
+//! [`Diagnostic`] type, one path classifier and one waiver parser and
+//! dead-waiver audit, shared by every rule family.
 //!
-//! `cargo xtask lint --ast` runs these checks over every workspace `.rs`
-//! file. Unlike the line-oriented text rules in [`crate::rules`], these
-//! operate on a real token stream (see [`lexer`]) and parse function
-//! signatures, call chains and cast expressions, so they can reason about
-//! *structure*: which parameters of a `pub fn` are raw `f64`, whether a
-//! `partial_cmp` result is unwrapped, whether a float→int cast was rounded
-//! first.
+//! The families are modules of their own: the token rules in [`rules`]
+//! (text-level checks such as `no-panic-in-lib`, and structural checks such
+//! as `raw-f64-param`), the call-graph certification of hot-path markers in
+//! [`graph`] (fed by [`extract`]), and the dataflow rules in [`flow`] (over
+//! the CFGs of [`cfg`]). All of them read one [`lexer::Lexed`] per file.
 //!
 //! The rule catalogue, per-crate scoping, message format and the JSON
-//! output schema are documented in `docs/STATIC_ANALYSIS.md`. Findings are
-//! waived exactly like text-rule findings, with a justifying
-//! `// iprism-lint: allow(<rule>)` comment on or directly above the line.
+//! output schema are documented in `docs/STATIC_ANALYSIS.md`. Any finding
+//! is waived with a justifying `// iprism-lint: allow(<rule>)` comment on
+//! or directly above the line.
 
 pub mod cfg;
 pub mod extract;
@@ -20,21 +20,30 @@ pub mod graph;
 pub mod lexer;
 pub mod rules;
 
-use std::path::Path;
+use std::ops::Range;
 
-use crate::mask::{self, MaskedFile};
+use extract::HotProp;
+use lexer::Lexed;
 
 /// Version stamp embedded in every JSON lint report so CI consumers can
 /// detect format changes. Bump whenever the report shape changes.
 ///
-/// v3: all four passes (text, `--ast`, `--graph`, `--flow`) share one
-/// emitter and one diagnostic object shape; the flow rules joined the
-/// rule namespace.
-pub const SCHEMA_VERSION: u32 = 3;
+/// v4: one pass, one report; the call-graph and dataflow headline counts
+/// sit side by side in the one envelope.
+pub const SCHEMA_VERSION: u32 = 4;
 
-/// The AST-level lint rules enforced by `cargo xtask lint --ast`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AstRule {
+/// The rules enforced by `cargo xtask lint`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Rule {
+    /// No `unwrap`/`expect`/`panic!`/`unreachable!`/`todo!` in non-test
+    /// library code of the numeric core crates.
+    NoPanicInLib,
+    /// No `==`/`!=` on floating-point operands outside tests.
+    NoFloatEq,
+    /// No wall-clock time in sim/scenario code.
+    NoWallclockInSim,
+    /// Every `pub fn` carries a doc comment.
+    PubFnDocs,
     /// No `HashMap`/`HashSet` in determinism-critical crates: iteration
     /// order varies run to run.
     NoHashCollections,
@@ -61,8 +70,7 @@ pub enum AstRule {
     /// or `run_episode` instead.
     WorldStepOutsideSim,
     /// A fn marked `hot-path(no-panic)` transitively reaches a panic
-    /// (`panic!`, `.unwrap()`, `assert!`, slice indexing). Graph rule:
-    /// reported by `cargo xtask lint --graph`.
+    /// (`panic!`, `.unwrap()`, `assert!`, slice indexing). Graph rule.
     HotPathPanic,
     /// A fn marked `hot-path(no-alloc)` transitively reaches a heap
     /// allocation (`Vec::push`, `collect`, `format!`, ...). Graph rule.
@@ -75,8 +83,7 @@ pub enum AstRule {
     /// rule.
     HotPathMarker,
     /// Add/sub of two locals whose inferred physical dimensions differ
-    /// (meters + seconds, radians + degrees, ...). Flow rule: reported by
-    /// `cargo xtask lint --flow`.
+    /// (meters + seconds, radians + degrees, ...). Flow rule.
     UnitMixedDim,
     /// A raw `f64` that escaped one unit newtype (`.get()`/`.0`) re-enters
     /// a constructor of a *different* dimension unconverted. Flow rule.
@@ -94,94 +101,93 @@ pub enum AstRule {
     /// Iteration over an unordered hash collection feeding a reduction or
     /// collect. Flow rule.
     UnorderedReduce,
-    /// An `iprism-lint: allow(...)` directive that suppresses nothing.
+    /// A name in an `iprism-lint: allow(...)` directive that suppresses
+    /// nothing.
     DeadWaiver,
 }
 
-/// All AST rules, in reporting order.
-pub const ALL_AST_RULES: [AstRule; 20] = [
-    AstRule::NoHashCollections,
-    AstRule::NoUnseededRng,
-    AstRule::RawF64Param,
-    AstRule::RawF64Return,
-    AstRule::AngleConvOutsideUnits,
-    AstRule::PartialCmpUnwrap,
-    AstRule::UnguardedFloatDiv,
-    AstRule::FloatIntCast,
-    AstRule::WorldStepOutsideSim,
-    AstRule::HotPathPanic,
-    AstRule::HotPathAlloc,
-    AstRule::HotPathNondet,
-    AstRule::HotPathMarker,
-    AstRule::UnitMixedDim,
-    AstRule::UnitRawReentry,
-    AstRule::UnitAngleRaw,
-    AstRule::ParFloatAccum,
-    AstRule::ParSharedMut,
-    AstRule::UnorderedReduce,
-    AstRule::DeadWaiver,
+/// All rules, in reporting order.
+pub const ALL_RULES: [Rule; 24] = [
+    Rule::NoPanicInLib,
+    Rule::NoFloatEq,
+    Rule::NoWallclockInSim,
+    Rule::PubFnDocs,
+    Rule::NoHashCollections,
+    Rule::NoUnseededRng,
+    Rule::RawF64Param,
+    Rule::RawF64Return,
+    Rule::AngleConvOutsideUnits,
+    Rule::PartialCmpUnwrap,
+    Rule::UnguardedFloatDiv,
+    Rule::FloatIntCast,
+    Rule::WorldStepOutsideSim,
+    Rule::HotPathPanic,
+    Rule::HotPathAlloc,
+    Rule::HotPathNondet,
+    Rule::HotPathMarker,
+    Rule::UnitMixedDim,
+    Rule::UnitRawReentry,
+    Rule::UnitAngleRaw,
+    Rule::ParFloatAccum,
+    Rule::ParSharedMut,
+    Rule::UnorderedReduce,
+    Rule::DeadWaiver,
 ];
 
-/// The rules evaluated by the call-graph pass (`lint --graph`), not the
-/// per-file pass; the per-file dead-waiver audit must leave their
-/// directives alone.
-pub const GRAPH_RULES: [AstRule; 4] = [
-    AstRule::HotPathPanic,
-    AstRule::HotPathAlloc,
-    AstRule::HotPathNondet,
-    AstRule::HotPathMarker,
-];
-
-/// The rules evaluated by the dataflow pass (`lint --flow`), not the
-/// per-file pass; the per-file dead-waiver audit must leave their
-/// directives alone (the flow pass runs its own audit over them).
-pub const FLOW_RULES: [AstRule; 6] = [
-    AstRule::UnitMixedDim,
-    AstRule::UnitRawReentry,
-    AstRule::UnitAngleRaw,
-    AstRule::ParFloatAccum,
-    AstRule::ParSharedMut,
-    AstRule::UnorderedReduce,
-];
-
-impl AstRule {
+impl Rule {
     /// The kebab-case name used in diagnostics and `allow(...)` directives.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {
-            AstRule::NoHashCollections => "no-hash-collections",
-            AstRule::NoUnseededRng => "no-unseeded-rng",
-            AstRule::RawF64Param => "raw-f64-param",
-            AstRule::RawF64Return => "raw-f64-return",
-            AstRule::AngleConvOutsideUnits => "angle-conv-outside-units",
-            AstRule::PartialCmpUnwrap => "partial-cmp-unwrap",
-            AstRule::UnguardedFloatDiv => "unguarded-float-div",
-            AstRule::FloatIntCast => "float-int-cast",
-            AstRule::WorldStepOutsideSim => "world-step-outside-sim",
-            AstRule::HotPathPanic => "hot-path-panic",
-            AstRule::HotPathAlloc => "hot-path-alloc",
-            AstRule::HotPathNondet => "hot-path-nondet",
-            AstRule::HotPathMarker => "hot-path-marker",
-            AstRule::UnitMixedDim => "unit-mixed-dim",
-            AstRule::UnitRawReentry => "unit-raw-reentry",
-            AstRule::UnitAngleRaw => "unit-angle-raw",
-            AstRule::ParFloatAccum => "par-float-accum",
-            AstRule::ParSharedMut => "par-shared-mut",
-            AstRule::UnorderedReduce => "unordered-reduce",
-            AstRule::DeadWaiver => "dead-waiver",
+            Rule::NoPanicInLib => "no-panic-in-lib",
+            Rule::NoFloatEq => "no-float-eq",
+            Rule::NoWallclockInSim => "no-wallclock-in-sim",
+            Rule::PubFnDocs => "pub-fn-docs",
+            Rule::NoHashCollections => "no-hash-collections",
+            Rule::NoUnseededRng => "no-unseeded-rng",
+            Rule::RawF64Param => "raw-f64-param",
+            Rule::RawF64Return => "raw-f64-return",
+            Rule::AngleConvOutsideUnits => "angle-conv-outside-units",
+            Rule::PartialCmpUnwrap => "partial-cmp-unwrap",
+            Rule::UnguardedFloatDiv => "unguarded-float-div",
+            Rule::FloatIntCast => "float-int-cast",
+            Rule::WorldStepOutsideSim => "world-step-outside-sim",
+            Rule::HotPathPanic => "hot-path-panic",
+            Rule::HotPathAlloc => "hot-path-alloc",
+            Rule::HotPathNondet => "hot-path-nondet",
+            Rule::HotPathMarker => "hot-path-marker",
+            Rule::UnitMixedDim => "unit-mixed-dim",
+            Rule::UnitRawReentry => "unit-raw-reentry",
+            Rule::UnitAngleRaw => "unit-angle-raw",
+            Rule::ParFloatAccum => "par-float-accum",
+            Rule::ParSharedMut => "par-shared-mut",
+            Rule::UnorderedReduce => "unordered-reduce",
+            Rule::DeadWaiver => "dead-waiver",
         }
     }
 
     /// Parses a rule name as written inside `allow(...)`.
     #[must_use]
-    pub fn from_name(name: &str) -> Option<AstRule> {
-        ALL_AST_RULES.iter().copied().find(|r| r.name() == name)
+    pub fn from_name(name: &str) -> Option<Rule> {
+        ALL_RULES.iter().copied().find(|r| r.name() == name)
+    }
+
+    /// Rules that also fire inside `macro_rules!` bodies: a panic, float
+    /// comparison, clock or entropy source in a template lands in every
+    /// expansion. The structural rules skip macro bodies, which are not
+    /// items.
+    #[must_use]
+    pub fn fires_in_macro_bodies(self) -> bool {
+        matches!(
+            self,
+            Rule::NoPanicInLib | Rule::NoFloatEq | Rule::NoWallclockInSim | Rule::NoUnseededRng
+        )
     }
 }
 
-/// A single AST-lint finding, with full line *and column* position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AstDiagnostic {
+/// A single lint finding.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Diagnostic {
     /// Workspace-relative path of the offending file.
     pub path: String,
     /// 1-based line number.
@@ -189,12 +195,12 @@ pub struct AstDiagnostic {
     /// 1-based character column.
     pub col: usize,
     /// The rule that fired.
-    pub rule: AstRule,
+    pub rule: Rule,
     /// Human-readable explanation.
     pub message: String,
 }
 
-impl std::fmt::Display for AstDiagnostic {
+impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -208,70 +214,20 @@ impl std::fmt::Display for AstDiagnostic {
     }
 }
 
-impl AstDiagnostic {
+impl Diagnostic {
     /// Renders the diagnostic as a JSON object (hand-rolled: xtask has no
     /// dependencies).
     #[must_use]
     pub fn to_json(&self) -> String {
-        diagnostic_json(
-            &self.path,
+        format!(
+            r#"{{"path":{},"line":{},"col":{},"rule":{},"message":{}}}"#,
+            json_string(&self.path),
             self.line,
             self.col,
-            self.rule.name(),
-            &self.message,
+            json_string(self.rule.name()),
+            json_string(&self.message)
         )
     }
-}
-
-/// Renders one finding as a JSON object. Every lint layer — text, `--ast`,
-/// `--graph`, `--flow` — emits this exact shape, so CI consumers parse one
-/// schema regardless of which pass produced the report.
-#[must_use]
-pub fn diagnostic_json(path: &str, line: usize, col: usize, rule: &str, message: &str) -> String {
-    format!(
-        r#"{{"path":{},"line":{},"col":{},"rule":{},"message":{}}}"#,
-        json_string(path),
-        line,
-        col,
-        json_string(rule),
-        json_string(message)
-    )
-}
-
-/// Assembles the shared report envelope: `schema_version`, `files_checked`,
-/// any layer-specific headline counts (`extra`, emitted in order between
-/// `files_checked` and `violations`), then the pre-rendered violation
-/// objects. This is the *only* place the schema version is stamped.
-#[must_use]
-pub fn render_report(checked: usize, extra: &[(&str, usize)], items: &[String]) -> String {
-    let mut out = format!(r#"{{"schema_version":{SCHEMA_VERSION},"files_checked":{checked}"#);
-    for (key, value) in extra {
-        out.push_str(&format!(r#","{key}":{value}"#));
-    }
-    out.push_str(&format!(r#","violations":[{}]}}"#, items.join(",")));
-    out
-}
-
-/// Renders a full AST-lint report as a JSON document for CI consumption.
-/// The report is deterministic: diagnostics are serialized in
-/// `(path, line, col, rule)` order regardless of input order.
-#[must_use]
-pub fn report_json(checked: usize, diagnostics: &[AstDiagnostic]) -> String {
-    report_json_with(checked, &[], diagnostics)
-}
-
-/// Like [`report_json`] but with layer-specific headline counts (the graph
-/// pass's function/edge totals, the flow pass's function count).
-#[must_use]
-pub fn report_json_with(
-    checked: usize,
-    extra: &[(&str, usize)],
-    diagnostics: &[AstDiagnostic],
-) -> String {
-    let mut sorted: Vec<&AstDiagnostic> = diagnostics.iter().collect();
-    sorted.sort_by_key(|d| (&d.path, d.line, d.col, d.rule.name()));
-    let items: Vec<String> = sorted.iter().map(|d| d.to_json()).collect();
-    render_report(checked, extra, &items)
 }
 
 /// Quotes and escapes `s` as a JSON string literal.
@@ -294,9 +250,14 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// Which AST rule families apply to a file (decided from its path).
+/// Which rule families apply to a file (decided from its path).
 #[derive(Debug, Clone, Copy, Default)]
-pub struct AstFileClass {
+pub struct FileClass {
+    /// A numeric core crate: library code must not panic (reach/risk math
+    /// must degrade gracefully, not abort the vehicle stack).
+    pub panic_banned: bool,
+    /// Sim/scenario code: no wall-clock time.
+    pub wallclock_banned: bool,
     /// Determinism-critical: reach/risk math and everything the simulator
     /// replays must be bit-reproducible across runs.
     pub determinism: bool,
@@ -312,6 +273,19 @@ pub struct AstFileClass {
     /// engine, never via manual `world.step(...)` loops.
     pub world_step: bool,
 }
+
+/// Crates whose library code must never panic.
+const PANIC_BANNED_CRATES: [&str; 6] = [
+    "crates/geom/",
+    "crates/dynamics/",
+    "crates/reach/",
+    "crates/risk/",
+    "crates/sim/",
+    "crates/core/",
+];
+
+/// Crates whose code must not read the wall clock.
+const WALLCLOCK_BANNED_CRATES: [&str; 2] = ["crates/sim/", "crates/scenarios/"];
 
 /// Crates whose iteration order and entropy sources must be deterministic.
 const DETERMINISM_CRATES: [&str; 4] = [
@@ -335,14 +309,27 @@ const HOT_PATH_CRATES: [&str; 4] = [
     "crates/risk/",
 ];
 
-/// Decides which AST rule families apply to `rel_path`; `None` means the
-/// file is skipped entirely (same skip set as the text lints: tests,
-/// benches, examples, fixtures, build scripts).
+/// Decides which rule families apply to `rel_path` (workspace relative,
+/// forward slashes); `None` means the file is skipped entirely (test
+/// binaries, benches, examples, fixtures, build scripts).
 #[must_use]
-pub fn classify_ast(rel_path: &str) -> Option<AstFileClass> {
-    crate::classify(rel_path)?;
+pub fn classify(rel_path: &str) -> Option<FileClass> {
+    let skip = rel_path.starts_with("tests/")
+        || rel_path.contains("/tests/")
+        || rel_path.starts_with("benches/")
+        || rel_path.contains("/benches/")
+        || rel_path.contains("/examples/")
+        || rel_path.contains("/fixtures/")
+        || rel_path.ends_with("build.rs")
+        || rel_path.starts_with("target/")
+        || rel_path.contains("/target/");
+    if skip {
+        return None;
+    }
     let starts = |prefixes: &[&str]| prefixes.iter().any(|p| rel_path.starts_with(p));
-    Some(AstFileClass {
+    Some(FileClass {
+        panic_banned: starts(&PANIC_BANNED_CRATES),
+        wallclock_banned: starts(&WALLCLOCK_BANNED_CRATES),
         determinism: starts(&DETERMINISM_CRATES),
         units_param_api: starts(&UNITS_PARAM_CRATES),
         units_return_api: starts(&UNITS_RETURN_CRATES),
@@ -352,220 +339,158 @@ pub fn classify_ast(rel_path: &str) -> Option<AstFileClass> {
     })
 }
 
-/// AST-lints a single source string as if it lived at `rel_path`. This is
-/// the entry point the fixture tests use; [`run_ast_lint`] maps it over the
-/// real tree.
-#[must_use]
-pub fn ast_lint_source(rel_path: &str, source: &str) -> Vec<AstDiagnostic> {
-    let Some(class) = classify_ast(rel_path) else {
-        return Vec::new();
-    };
-    let masked = mask::mask(source);
-    let tokens = lexer::lex(source);
-    let allows = allow_lines(&masked);
-    let skip = |line: usize| {
-        let idx = line - 1;
-        masked.test.get(idx).copied().unwrap_or(false)
-            || masked.macro_body.get(idx).copied().unwrap_or(false)
-    };
-    // Collect every finding first (pre-waiver), so the dead-waiver audit
-    // can tell whether a directive suppresses anything at all.
-    let mut raw = Vec::new();
-    let mut push = |t: &lexer::Token, rule: AstRule, message: String| {
-        raw.push(AstDiagnostic {
-            path: rel_path.to_string(),
-            line: t.line,
-            col: t.col,
-            rule,
-            message,
-        });
-    };
-    rules::check_tokens(&tokens, class, &skip, &mut push);
-    raw.sort_by_key(|d| (d.line, d.col));
-    raw.dedup();
-    let mut out: Vec<AstDiagnostic> = raw
-        .iter()
-        .filter(|d| !allowed(&allows, &masked, d.line - 1, d.rule))
-        .cloned()
-        .collect();
-    dead_waiver_audit(rel_path, &masked, &allows, &raw, &skip, &mut out);
-    out.sort_by(|a, b| (a.line, a.col, a.rule.name()).cmp(&(b.line, b.col, b.rule.name())));
-    out.dedup();
-    out
+/// The `// iprism-lint: allow(<rule>, ...)` directives of one file, parsed
+/// once. A directive waives its rules on its own line and, when it stands
+/// on a comment-only line, down through the comment run to the first line
+/// that is not comment-only. Directives inside test items are ignored, like
+/// the test code itself.
+#[derive(Debug, Clone)]
+pub struct Waivers {
+    /// Per 0-based line, the names its directive lists, each with its
+    /// 0-based char column.
+    names: Vec<Vec<(usize, String)>>,
+    /// Per line, `true` when it holds a comment and no code.
+    comment_only: Vec<bool>,
 }
 
-/// Flags `iprism-lint: allow(...)` directives that suppress nothing.
-///
-/// A directive is *live* when at least one rule it names fires (pre-waiver)
-/// on a line it covers — its own line, or the next code line below its
-/// comment-only run. Directives naming a graph rule (`hot-path-*`) or a
-/// flow rule (`unit-*`, `par-*`, `unordered-reduce`) are skipped here: only
-/// the `lint --graph` / `lint --flow` passes can see what they suppress,
-/// and each pass runs its own dead-waiver audit.
-fn dead_waiver_audit(
-    rel_path: &str,
-    masked: &MaskedFile,
-    allows: &[Vec<AstRule>],
-    raw_ast: &[AstDiagnostic],
-    skip: &dyn Fn(usize) -> bool,
-    out: &mut Vec<AstDiagnostic>,
-) {
-    // Text-rule findings, unfiltered: a directive waiving only e.g.
-    // `no-panic-in-lib` is live if the text rule would fire there.
-    let raw_text = crate::classify(rel_path)
-        .map(|class| crate::rules::lint_masked_raw(rel_path, masked, class))
-        .unwrap_or_default();
-    for (idx, comment) in masked.comments.iter().enumerate() {
-        if skip(idx + 1) {
-            continue;
+impl Waivers {
+    /// Parses every directive of `file`.
+    #[must_use]
+    pub fn parse(file: &Lexed) -> Waivers {
+        let names = file
+            .comments
+            .iter()
+            .zip(&file.test)
+            .map(|(comment, &test)| {
+                if test {
+                    Vec::new()
+                } else {
+                    parse_directive(comment)
+                }
+            })
+            .collect();
+        let comment_only = (0..file.lines.len())
+            .map(|idx| file.comment_only(idx))
+            .collect();
+        Waivers {
+            names,
+            comment_only,
         }
-        let Some((col0, names)) = parse_allow_names(comment) else {
-            continue;
-        };
-        if names.iter().any(|n| {
-            GRAPH_RULES.iter().any(|r| r.name() == n) || FLOW_RULES.iter().any(|r| r.name() == n)
-        }) {
-            continue;
-        }
-        // Prose like `allow(...)` or `allow(<rule>)` in a plain comment is
-        // not a directive; real args are kebab-case rule names (a typo'd
-        // name still has directive syntax and is rightly flagged).
-        let rule_syntax = |n: &str| {
-            !n.is_empty()
-                && n.chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
-        };
-        if !names.iter().any(|n| rule_syntax(n)) {
-            continue;
-        }
-        let covered = extract::waiver_coverage(masked, idx);
-        let hits = |line0: usize| {
-            let matches = |rule_name: &str| names.iter().any(|n| n == "all" || n == rule_name);
-            raw_ast
+    }
+
+    /// Is `rule` waived on 0-based line `idx`: by a directive on that line,
+    /// or on the contiguous run of comment-only lines directly above?
+    #[must_use]
+    pub fn allowed(&self, idx: usize, rule: Rule) -> bool {
+        let waives = |l: usize| {
+            self.names[l]
                 .iter()
-                .any(|d| d.line == line0 + 1 && matches(d.rule.name()))
-                || raw_text
-                    .iter()
-                    .any(|d| d.line == line0 + 1 && matches(d.rule.name()))
+                .any(|(_, n)| n == "all" || n == rule.name())
         };
-        let live = covered.is_some_and(hits);
-        if !live && !allowed(allows, masked, idx, AstRule::DeadWaiver) {
-            out.push(AstDiagnostic {
-                path: rel_path.to_string(),
-                line: idx + 1,
-                col: col0 + 1,
-                rule: AstRule::DeadWaiver,
-                message: format!(
-                    "waiver `allow({})` suppresses nothing here; remove it or fix the rule list",
-                    names.join(", ")
-                ),
-            });
+        waives(idx)
+            || (0..idx)
+                .rev()
+                .take_while(|&l| self.comment_only[l])
+                .any(waives)
+    }
+
+    /// The 0-based lines a directive on line `idx` waives (see
+    /// [`Waivers::allowed`]).
+    fn covered(&self, idx: usize) -> Range<usize> {
+        let mut end = idx + 1;
+        if self.comment_only[idx] {
+            while end < self.comment_only.len() && self.comment_only[end] {
+                end += 1;
+            }
+            end = (end + 1).min(self.comment_only.len());
         }
+        idx..end
     }
 }
 
-/// Per-line sets of AST rules suppressed via `iprism-lint: allow(...)`.
-pub(crate) fn allow_lines(file: &MaskedFile) -> Vec<Vec<AstRule>> {
-    file.comments.iter().map(|c| parse_allow(c)).collect()
-}
-
-/// Parses an `iprism-lint: allow(...)` directive out of a comment line,
-/// returning its 0-based column and the raw names it lists (including
-/// `all` and names that match no rule — the dead-waiver audit needs both).
-pub(crate) fn parse_allow_names(comment: &str) -> Option<(usize, Vec<String>)> {
-    if is_doc_comment(comment) {
-        // Doc comments describe the directive syntax; only plain comments
-        // carry live directives.
-        return None;
-    }
-    let pos = comment.find("iprism-lint:")?;
-    let rest = &comment[pos + "iprism-lint:".len()..];
-    let open = rest.find("allow(")?;
-    let args = &rest[open + "allow(".len()..];
-    let close = args.find(')')?;
-    let names: Vec<String> = args[..close]
-        .split(',')
-        .map(str::trim)
-        .filter(|n| !n.is_empty())
-        .map(str::to_string)
-        .collect();
-    Some((pos, names))
-}
-
-/// Is this comment channel line a doc comment (`///`, `//!`, `/**`,
-/// `/*!`)? Directives and markers in docs are prose, not policy.
+/// Is this comment text a doc comment (`///`, `//!`, `/**`, `/*!`)?
+/// Directives and markers in docs are prose, not policy.
 pub(crate) fn is_doc_comment(comment: &str) -> bool {
     let t = comment.trim_start();
-    t.starts_with("///") || t.starts_with("//!") || t.starts_with("/**") || t.starts_with("/*!")
+    ["///", "//!", "/**", "/*!"]
+        .iter()
+        .any(|d| t.starts_with(d))
 }
 
-fn parse_allow(comment: &str) -> Vec<AstRule> {
-    let Some((_, names)) = parse_allow_names(comment) else {
+/// Parses the `iprism-lint: allow(...)` directive in one line's comment
+/// text into its names (including `all` and names that match no rule: the
+/// audit reports those) and their 0-based char columns.
+fn parse_directive(comment: &str) -> Vec<(usize, String)> {
+    if is_doc_comment(comment) {
+        return Vec::new();
+    }
+    let args = comment.find("iprism-lint:").and_then(|pos| {
+        let start = pos + comment[pos..].find("allow(")? + "allow(".len();
+        Some(start..start + comment[start..].find(')')?)
+    });
+    let Some(args) = args else {
         return Vec::new();
     };
-    let mut rules = Vec::new();
-    for name in names {
-        if name == "all" {
-            return ALL_AST_RULES.to_vec();
+    let mut names = Vec::new();
+    let mut at = args.start;
+    for raw in comment[args].split(',') {
+        let name = raw.trim();
+        if !name.is_empty() {
+            let byte = at + raw.len() - raw.trim_start().len();
+            names.push((comment[..byte].chars().count(), name.to_string()));
         }
-        if let Some(rule) = AstRule::from_name(&name) {
-            rules.push(rule);
-        }
+        at += raw.len() + 1;
     }
-    rules
+    names
 }
 
-/// A rule is suppressed on 0-based line `idx` if an allow directive sits on
-/// the line itself or on a contiguous run of comment-only lines directly
-/// above (mirrors the text-lint escape hatch exactly).
-pub(crate) fn allowed(
-    allows: &[Vec<AstRule>],
-    file: &MaskedFile,
-    idx: usize,
-    rule: AstRule,
-) -> bool {
-    if allows.get(idx).is_some_and(|a| a.contains(&rule)) {
-        return true;
-    }
-    let mut l = idx;
-    while l > 0 {
-        l -= 1;
-        let comment_only = file.code[l].trim().is_empty() && !file.comments[l].trim().is_empty();
-        if !comment_only {
-            return false;
+/// The one dead-waiver audit: every name in every directive must suppress
+/// something on the lines the directive covers. `raw` holds the file's
+/// pre-waiver findings. The three hot-path taint rules waive sources and
+/// call edges, not findings, so `hot_live` answers for them: is there a
+/// matching source (waived or not) or a call edge into a callee tainted
+/// with that property on those lines?
+pub(crate) fn audit(
+    path: &str,
+    waivers: &Waivers,
+    raw: &[Diagnostic],
+    hot_live: impl Fn(Range<usize>, HotProp) -> bool,
+    out: &mut Vec<Diagnostic>,
+) {
+    for (idx, names) in waivers.names.iter().enumerate() {
+        let covered = waivers.covered(idx);
+        let live = |rule: Rule| match HotProp::from_rule(rule) {
+            Some(prop) => hot_live(covered.clone(), prop),
+            None => raw
+                .iter()
+                .any(|d| d.rule == rule && covered.contains(&(d.line - 1))),
+        };
+        for (col, name) in names {
+            // `dead-waiver` silences this audit rather than a finding, and
+            // placeholder prose (`allow(<rule>)`, `allow(...)`) names no rule.
+            let rule_syntax = name
+                .chars()
+                .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-');
+            if name == "dead-waiver" || !rule_syntax {
+                continue;
+            }
+            let is_live = if name == "all" {
+                ALL_RULES.into_iter().any(live)
+            } else {
+                Rule::from_name(name).is_some_and(live)
+            };
+            if !is_live && !waivers.allowed(idx, Rule::DeadWaiver) {
+                out.push(Diagnostic {
+                    path: path.to_string(),
+                    line: idx + 1,
+                    col: col + 1,
+                    rule: Rule::DeadWaiver,
+                    message: format!(
+                        "waived rule `{name}` suppresses nothing here; remove it or fix \
+                         the rule list"
+                    ),
+                });
+            }
         }
-        if allows[l].contains(&rule) {
-            return true;
-        }
     }
-    false
-}
-
-/// AST-lints every workspace `.rs` file under `workspace_root`.
-///
-/// Returns `(files_checked, diagnostics)`.
-///
-/// # Errors
-///
-/// Returns any I/O error from walking or reading the tree.
-pub fn run_ast_lint(workspace_root: &Path) -> std::io::Result<(usize, Vec<AstDiagnostic>)> {
-    let mut checked = 0usize;
-    let mut diagnostics = Vec::new();
-    for path in crate::collect_rust_files(workspace_root)? {
-        let rel = path
-            .strip_prefix(workspace_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if classify_ast(&rel).is_none() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        checked += 1;
-        diagnostics.extend(ast_lint_source(&rel, &source));
-    }
-    diagnostics.sort_by(|a, b| {
-        (&a.path, a.line, a.col, a.rule.name()).cmp(&(&b.path, b.line, b.col, b.rule.name()))
-    });
-    Ok((checked, diagnostics))
 }

@@ -1,102 +1,172 @@
 //! Workspace automation library behind `cargo xtask`.
 //!
-//! The flagship task is `cargo xtask lint`, a custom static-analysis pass
-//! over every workspace `.rs` file. It has two layers:
+//! The flagship task is `cargo xtask lint`, one static-analysis pass over
+//! every workspace `.rs` file. It walks the tree and loads the Cargo
+//! dependency closure once, lexes each file once ([`ast::lexer`]), and runs
+//! every rule family over that one lex:
 //!
-//! * **Text rules** (the default; [`rules::Rule`]) — line-oriented checks:
-//!   `no-panic-in-lib`, `no-float-eq`, `no-wallclock-in-sim`, `pub-fn-docs`.
-//! * **AST rules** (`cargo xtask lint --ast`; [`ast::AstRule`]) — token- and
-//!   signature-level checks for determinism (`no-hash-collections`,
+//! * **Token rules** ([`ast::rules`]): panic and float hygiene and doc
+//!   coverage (`no-panic-in-lib`, `no-float-eq`, `no-wallclock-in-sim`,
+//!   `pub-fn-docs`), determinism (`no-hash-collections`,
 //!   `no-unseeded-rng`), dimensional safety (`raw-f64-param`,
-//!   `raw-f64-return`, `angle-conv-outside-units`) and NaN hygiene
-//!   (`partial-cmp-unwrap`, `unguarded-float-div`, `float-int-cast`).
-//! * **Graph rules** (`cargo xtask lint --graph`) — workspace call-graph
-//!   taint propagation certifying `// iprism: hot-path(...)` markers.
-//! * **Flow rules** (`cargo xtask lint --flow`; [`ast::flow`]) — forward
-//!   dataflow over per-function CFGs: unit-dimension tracking
-//!   (`unit-mixed-dim`, `unit-raw-reentry`, `unit-angle-raw`) and
-//!   parallel-determinism analysis (`par-float-accum`, `par-shared-mut`,
-//!   `unordered-reduce`).
+//!   `raw-f64-return`, `angle-conv-outside-units`), NaN hygiene
+//!   (`partial-cmp-unwrap`, `unguarded-float-div`, `float-int-cast`) and
+//!   `world-step-outside-sim`.
+//! * **Graph rules** ([`ast::graph`]): workspace call-graph taint
+//!   propagation certifying `// iprism: hot-path(...)` markers
+//!   (`hot-path-panic`, `hot-path-alloc`, `hot-path-nondet`,
+//!   `hot-path-marker`).
+//! * **Flow rules** ([`ast::flow`]): forward dataflow over per-function
+//!   CFGs, unit-dimension tracking (`unit-mixed-dim`, `unit-raw-reentry`,
+//!   `unit-angle-raw`) and parallel determinism (`par-float-accum`,
+//!   `par-shared-mut`, `unordered-reduce`).
 //!
-//! Both layers are documented in `docs/STATIC_ANALYSIS.md` and
-//! `docs/INVARIANTS.md`. Violations can be locally waived with a justifying
-//! comment: `// iprism-lint: allow(<rule>[, <rule>...])` on, or directly
-//! above, the offending line.
+//! A finding can be waived with a justifying comment,
+//! `// iprism-lint: allow(<rule>[, <rule>...])`, on or directly above the
+//! offending line; one audit then reports every waived name that
+//! suppresses nothing (`dead-waiver`). The pass prints one report. The
+//! rules are documented in `docs/STATIC_ANALYSIS.md` and
+//! `docs/INVARIANTS.md`.
 
 pub mod ast;
-pub mod mask;
-pub mod rules;
 
 use std::path::{Path, PathBuf};
 
-pub use ast::flow::{flow_lint_source, flow_lint_source_counted, run_flow_lint, FlowReport};
-pub use ast::graph::{
-    build_graph_sources, build_workspace_graph, graph_lint_sources, run_graph_lint, CallGraph,
-    DepClosure, GraphReport, GraphStats,
-};
-pub use ast::{
-    ast_lint_source, classify_ast, run_ast_lint, AstDiagnostic, AstRule, ALL_AST_RULES, FLOW_RULES,
-    SCHEMA_VERSION,
-};
-pub use rules::{Diagnostic, FileClass, Rule, ALL_RULES};
+pub use ast::graph::{build_workspace_graph, CallGraph, DepClosure, GraphStats};
+pub use ast::{classify, Diagnostic, FileClass, Rule, ALL_RULES, SCHEMA_VERSION};
 
-/// Crates whose library code must never panic (reach/risk math must degrade
-/// gracefully, not abort the vehicle stack).
-const PANIC_BANNED_CRATES: [&str; 6] = [
-    "crates/geom/",
-    "crates/dynamics/",
-    "crates/reach/",
-    "crates/risk/",
-    "crates/sim/",
-    "crates/core/",
-];
+use ast::{extract, flow, lexer, rules, Waivers};
 
-/// Crates whose code must be deterministic (no wall clock, no entropy).
-const WALLCLOCK_BANNED_CRATES: [&str; 2] = ["crates/sim/", "crates/scenarios/"];
-
-/// Lints a single source string as if it lived at `rel_path` (workspace
-/// relative, forward slashes). This is the entry point the fixture tests
-/// use; [`run_lint`] maps it over the real tree.
-#[must_use]
-pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
-    let Some(class) = classify(rel_path) else {
-        return Vec::new();
-    };
-    let masked = mask::mask(source);
-    rules::lint_masked(rel_path, &masked, class)
+/// The result of one lint pass.
+#[derive(Debug, Clone, Default)]
+pub struct Report {
+    /// Call-graph headline counts; `stats.files` counts every file linted.
+    pub stats: GraphStats,
+    /// Functions whose bodies the flow rules analysed.
+    pub flow_functions: usize,
+    /// Every finding, sorted by `(path, line, col, rule)`.
+    pub diagnostics: Vec<Diagnostic>,
 }
 
-/// Decides which rule families apply to `rel_path`; `None` means the file
-/// is skipped entirely (test binaries, benches, build scripts, fixtures).
-#[must_use]
-pub fn classify(rel_path: &str) -> Option<FileClass> {
-    let skip = rel_path.starts_with("tests/")
-        || rel_path.contains("/tests/")
-        || rel_path.starts_with("benches/")
-        || rel_path.contains("/benches/")
-        || rel_path.contains("/examples/")
-        || rel_path.contains("/fixtures/")
-        || rel_path.ends_with("build.rs")
-        || rel_path.starts_with("target/")
-        || rel_path.contains("/target/");
-    if skip {
-        return None;
+impl Report {
+    /// Renders the report as one JSON document: the headline counts, then
+    /// the findings.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let s = self.stats;
+        let items: Vec<String> = self.diagnostics.iter().map(Diagnostic::to_json).collect();
+        format!(
+            r#"{{"schema_version":{SCHEMA_VERSION},"files_checked":{},"functions":{},"edges":{},"unresolved_edges":{},"hot_path_markers":{},"flow_functions":{},"violations":[{}]}}"#,
+            s.files,
+            s.functions,
+            s.edges,
+            s.unresolved,
+            s.markers,
+            self.flow_functions,
+            items.join(",")
+        )
     }
-    Some(FileClass {
-        panic_banned: PANIC_BANNED_CRATES.iter().any(|p| rel_path.starts_with(p)),
-        wallclock_banned: WALLCLOCK_BANNED_CRATES
-            .iter()
-            .any(|p| rel_path.starts_with(p)),
-    })
+
+    /// The headline counts as one line of text.
+    #[must_use]
+    pub fn summary(&self) -> String {
+        let s = self.stats;
+        format!(
+            "{} files, {} functions ({} with dataflow), {} call edges ({} unresolved), \
+             {} hot-path marker(s)",
+            s.files, s.functions, self.flow_functions, s.edges, s.unresolved, s.markers
+        )
+    }
 }
 
-/// Recursively collects workspace `.rs` files under `root`, pruning VCS and
-/// build-output directories. Paths come back sorted for stable output.
+/// Lints in-memory sources as one workspace, each at its workspace-relative
+/// path: the entry point of the fixture tests. Nothing narrows call
+/// resolution, so every file's calls may resolve into every other.
+#[must_use]
+pub fn lint_sources(sources: &[(&str, &str)]) -> Report {
+    lint(sources, None)
+}
+
+/// Lints every workspace `.rs` file under `workspace_root`.
 ///
 /// # Errors
 ///
-/// Returns any I/O error encountered while walking the tree.
-pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Returns any I/O error from walking or reading the tree.
+pub fn run_lint(workspace_root: &Path) -> std::io::Result<Report> {
+    let (sources, deps) = read_workspace(workspace_root)?;
+    let sources: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(path, source)| (path.as_str(), source.as_str()))
+        .collect();
+    Ok(lint(&sources, Some(&deps)))
+}
+
+/// The one pass: each file is lexed once and its waivers parsed once; the
+/// token, flow and marker findings are collected pre-waiver, the call graph
+/// is certified over all files, then waivers filter the per-file findings
+/// and one audit checks every waiver against them.
+fn lint(sources: &[(&str, &str)], deps: Option<&DepClosure>) -> Report {
+    let mut report = Report::default();
+    let mut files = Vec::new();
+    let mut extracts = Vec::new();
+    for &(path, source) in sources {
+        let Some(class) = classify(path) else {
+            continue;
+        };
+        let file = lexer::lex(source);
+        let waivers = Waivers::parse(&file);
+        let mut raw = Vec::new();
+        rules::check_tokens(path, &file, class, &mut raw);
+        report.flow_functions += flow::analyse(path, &file, &mut raw);
+        extracts.push(extract::extract_file(path, &file, &waivers, &mut raw));
+        raw.sort();
+        // Nested fns are analysed on their own and inside their parent.
+        raw.dedup_by(|a, b| (a.line, a.col, a.rule) == (b.line, b.col, b.rule));
+        files.push((path, waivers, raw));
+    }
+    let graph = CallGraph::build(extracts, deps);
+    report.stats = graph.stats();
+    let mut out = graph.violations();
+    for (fi, (path, waivers, raw)) in files.iter().enumerate() {
+        out.extend(
+            raw.iter()
+                .filter(|d| !waivers.allowed(d.line - 1, d.rule))
+                .cloned(),
+        );
+        let hot_live = |lines, prop| graph.waiver_live(fi, lines, prop);
+        ast::audit(path, waivers, raw, hot_live, &mut out);
+    }
+    out.sort();
+    report.diagnostics = out;
+    report
+}
+
+/// Reads every linted `.rs` file under `root` as `(relative path, source)`
+/// pairs, and the dependency closure of every package the walk visits.
+pub(crate) fn read_workspace(root: &Path) -> std::io::Result<(Vec<(String, String)>, DepClosure)> {
+    let mut sources = Vec::new();
+    let mut manifests = Vec::new();
+    for path in walk(root)? {
+        let rel = path
+            .strip_prefix(root)
+            .unwrap_or(&path)
+            .to_string_lossy()
+            .replace('\\', "/");
+        if let Some(dir) = rel.strip_suffix("Cargo.toml") {
+            let dir = dir.trim_end_matches('/').to_string();
+            manifests.push((dir, std::fs::read_to_string(&path)?));
+        } else if classify(&rel).is_some() {
+            let source = std::fs::read_to_string(&path)?;
+            sources.push((rel, source));
+        }
+    }
+    Ok((sources, DepClosure::new(&manifests)))
+}
+
+/// Recursively collects the `.rs` files and `Cargo.toml` manifests under
+/// `root`, pruning VCS and build-output directories. Paths come back sorted
+/// for stable output.
+fn walk(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut files = Vec::new();
     let mut stack = vec![root.to_path_buf()];
     while let Some(dir) = stack.pop() {
@@ -110,38 +180,11 @@ pub fn collect_rust_files(root: &Path) -> std::io::Result<Vec<PathBuf>> {
                     continue;
                 }
                 stack.push(path);
-            } else if name.ends_with(".rs") {
+            } else if name.ends_with(".rs") || name == "Cargo.toml" {
                 files.push(path);
             }
         }
     }
     files.sort();
     Ok(files)
-}
-
-/// Lints every workspace `.rs` file under `workspace_root`.
-///
-/// Returns `(files_checked, diagnostics)`.
-///
-/// # Errors
-///
-/// Returns any I/O error from walking or reading the tree.
-pub fn run_lint(workspace_root: &Path) -> std::io::Result<(usize, Vec<Diagnostic>)> {
-    let mut checked = 0usize;
-    let mut diagnostics = Vec::new();
-    for path in collect_rust_files(workspace_root)? {
-        let rel = path
-            .strip_prefix(workspace_root)
-            .unwrap_or(&path)
-            .to_string_lossy()
-            .replace('\\', "/");
-        if classify(&rel).is_none() {
-            continue;
-        }
-        let source = std::fs::read_to_string(&path)?;
-        checked += 1;
-        diagnostics.extend(lint_source(&rel, &source));
-    }
-    diagnostics.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    Ok((checked, diagnostics))
 }

@@ -25,8 +25,8 @@ fn print_usage() {
     eprintln!(
         "usage: cargo xtask <task>\n\n\
          tasks:\n  \
-         lint [--ast|--graph|--flow] [--json]\n                          \
-         run the iPrism custom lints over every workspace .rs file\n  \
+         lint [--json]           run every iPrism lint rule over every workspace .rs file\n                          \
+         in one pass; --json prints the report as one JSON document\n  \
          bench-sti [--smoke] [PATH]\n                          \
          time the STI hot path and write BENCH_STI.json (repo root,\n                          \
          or PATH) with the speedup over the recorded baseline;\n                          \
@@ -35,22 +35,15 @@ fn print_usage() {
          time D-DQN training (gradient updates + end-to-end train_smc)\n                          \
          and write BENCH_TRAIN.json with the speedup over the recorded\n                          \
          baseline; --smoke runs one untimed iteration (CI)\n\n\
-         flags:\n  \
-         --ast    run the AST-level rules (determinism, dimensional safety, NaN hygiene,\n           \
-         dead-waiver audit) instead of the text rules\n  \
-         --graph  build the workspace call graph and certify `// iprism: hot-path(...)`\n           \
-         markers (no-panic, no-alloc, deterministic) by taint propagation\n  \
-         --flow   run forward dataflow over per-function CFGs: unit-dimension tracking\n           \
-         and parallel-determinism analysis\n  \
-         --json   emit machine-readable JSON instead of human-readable diagnostics\n\n\
-         text rules:  no-panic-in-lib, no-float-eq, no-wallclock-in-sim, pub-fn-docs\n\
-         ast rules:   no-hash-collections, no-unseeded-rng, raw-f64-param, raw-f64-return,\n             \
-         angle-conv-outside-units, partial-cmp-unwrap, unguarded-float-div,\n             \
-         float-int-cast, world-step-outside-sim, dead-waiver\n\
-         graph rules: hot-path-panic, hot-path-alloc, hot-path-nondet, hot-path-marker,\n             \
-         dead-waiver\n\
-         flow rules:  unit-mixed-dim, unit-raw-reentry, unit-angle-raw, par-float-accum,\n             \
-         par-shared-mut, unordered-reduce, dead-waiver\n\
+         lint rules:\n  \
+         tokens: no-panic-in-lib, no-float-eq, no-wallclock-in-sim, pub-fn-docs,\n          \
+         no-hash-collections, no-unseeded-rng, raw-f64-param, raw-f64-return,\n          \
+         angle-conv-outside-units, partial-cmp-unwrap, unguarded-float-div,\n          \
+         float-int-cast, world-step-outside-sim\n  \
+         graph:  hot-path-panic, hot-path-alloc, hot-path-nondet, hot-path-marker\n  \
+         flow:   unit-mixed-dim, unit-raw-reentry, unit-angle-raw, par-float-accum,\n          \
+         par-shared-mut, unordered-reduce\n  \
+         audit:  dead-waiver\n\
          waive a finding with `// iprism-lint: allow(<rule>)` on or above the line\n\
          (see docs/STATIC_ANALYSIS.md for the full catalogue)"
     );
@@ -65,37 +58,40 @@ fn workspace_root() -> PathBuf {
 }
 
 fn lint(flags: &[String]) -> ExitCode {
-    let mut ast = false;
-    let mut graph = false;
-    let mut flow = false;
     let mut json = false;
     for flag in flags {
-        match flag.as_str() {
-            "--ast" => ast = true,
-            "--graph" => graph = true,
-            "--flow" => flow = true,
-            "--json" => json = true,
-            other => {
-                eprintln!("xtask lint: unknown flag `{other}`\n");
-                print_usage();
-                return ExitCode::from(2);
-            }
+        if flag == "--json" {
+            json = true;
+        } else {
+            eprintln!("xtask lint: unknown flag `{flag}`\n");
+            print_usage();
+            return ExitCode::from(2);
         }
     }
-    if usize::from(ast) + usize::from(graph) + usize::from(flow) > 1 {
-        eprintln!("xtask lint: `--ast`, `--graph` and `--flow` are separate passes; pick one\n");
-        print_usage();
-        return ExitCode::from(2);
-    }
-    let root = workspace_root();
-    if graph {
-        graph_lint(&root, json)
-    } else if flow {
-        flow_lint(&root, json)
-    } else if ast {
-        ast_lint(&root, json)
+    let report = match xtask::run_lint(&workspace_root()) {
+        Ok(report) => report,
+        Err(err) => {
+            eprintln!("xtask lint: I/O error: {err}");
+            return ExitCode::from(2);
+        }
+    };
+    let violations = report.diagnostics.len();
+    if json {
+        println!("{}", report.to_json());
     } else {
-        text_lint(&root, json)
+        for d in &report.diagnostics {
+            println!("{d}");
+        }
+        let verdict = match violations {
+            0 => "no violations".to_string(),
+            n => format!("{n} violation(s)"),
+        };
+        println!("xtask lint: {}; {verdict}", report.summary());
+    }
+    if violations == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -114,112 +110,5 @@ fn run_bench_bin(bin: &str, task: &str, args: &[String]) -> ExitCode {
             eprintln!("xtask {task}: failed to launch cargo: {err}");
             ExitCode::from(2)
         }
-    }
-}
-
-fn text_lint(root: &Path, json: bool) -> ExitCode {
-    match xtask::run_lint(root) {
-        Ok((checked, diagnostics)) => {
-            if json {
-                // Text diagnostics have no column; report col 1.
-                let items: Vec<String> = diagnostics
-                    .iter()
-                    .map(|d| {
-                        xtask::ast::diagnostic_json(&d.path, d.line, 1, d.rule.name(), &d.message)
-                    })
-                    .collect();
-                println!("{}", xtask::ast::render_report(checked, &[], &items));
-            } else {
-                for d in &diagnostics {
-                    println!("{d}");
-                }
-            }
-            summary("lint", checked, diagnostics.len(), json)
-        }
-        Err(err) => {
-            eprintln!("xtask lint: I/O error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn ast_lint(root: &Path, json: bool) -> ExitCode {
-    match xtask::run_ast_lint(root) {
-        Ok((checked, diagnostics)) => {
-            if json {
-                println!("{}", xtask::ast::report_json(checked, &diagnostics));
-            } else {
-                for d in &diagnostics {
-                    println!("{d}");
-                }
-            }
-            summary("lint --ast", checked, diagnostics.len(), json)
-        }
-        Err(err) => {
-            eprintln!("xtask lint --ast: I/O error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn graph_lint(root: &Path, json: bool) -> ExitCode {
-    match xtask::run_graph_lint(root) {
-        Ok(report) => {
-            let s = report.stats;
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                for d in &report.diagnostics {
-                    println!("{d}");
-                }
-                println!(
-                    "xtask lint --graph: {} files, {} functions, {} edges ({} unresolved), \
-                     {} hot-path marker(s)",
-                    s.files, s.functions, s.edges, s.unresolved, s.markers
-                );
-            }
-            summary("lint --graph", s.files, report.diagnostics.len(), json)
-        }
-        Err(err) => {
-            eprintln!("xtask lint --graph: I/O error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn flow_lint(root: &Path, json: bool) -> ExitCode {
-    match xtask::run_flow_lint(root) {
-        Ok(report) => {
-            if json {
-                println!("{}", report.to_json());
-            } else {
-                for d in &report.diagnostics {
-                    println!("{d}");
-                }
-                println!(
-                    "xtask lint --flow: {} files, {} functions analysed",
-                    report.files, report.functions
-                );
-            }
-            summary("lint --flow", report.files, report.diagnostics.len(), json)
-        }
-        Err(err) => {
-            eprintln!("xtask lint --flow: I/O error: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn summary(task: &str, checked: usize, violations: usize, json: bool) -> ExitCode {
-    if violations == 0 {
-        if !json {
-            println!("xtask {task}: {checked} files checked, no violations");
-        }
-        ExitCode::SUCCESS
-    } else {
-        if !json {
-            println!("xtask {task}: {checked} files checked, {violations} violation(s)");
-        }
-        ExitCode::FAILURE
     }
 }

@@ -1,14 +1,11 @@
-//! Fixture and golden tests for the dataflow pass (`lint --flow`).
+//! Fixture tests for the dataflow rules.
 //!
 //! Convention mirrors `ast_rules.rs`: every flow rule gets a firing, a
 //! silent and a suppressed fixture, exercised through the public
-//! `flow_lint_source` entry point. The golden tests at the bottom run the
-//! full pass over the actual workspace tree (which must certify clean) and
-//! pin the exact `--flow --json` report for a seeded fixture pair — a
-//! mixed-unit addition and an order-sensitive parallel float reduction, the
-//! two defect classes the layer exists to catch.
+//! `lint_sources` entry point. The workspace-clean golden test and the
+//! report snapshot cover the flow rules with every other family.
 
-use xtask::{flow_lint_source, flow_lint_source_counted, run_flow_lint, AstRule, FlowReport};
+use xtask::{lint_sources, Rule};
 
 /// Reach-tube math: units flow through raw `f64` hot loops here.
 const REACH_PATH: &str = "crates/reach/src/fixture.rs";
@@ -17,11 +14,23 @@ const RISK_PATH: &str = "crates/risk/src/fixture.rs";
 /// Integration tests are outside the lint scope entirely.
 const TEST_PATH: &str = "crates/reach/tests/fixture.rs";
 
-fn fired(path: &str, source: &str) -> Vec<AstRule> {
-    flow_lint_source(path, source)
-        .into_iter()
-        .map(|d| d.rule)
-        .collect()
+/// The flow rules and the waiver audit; fixtures here ignore the token
+/// rules (an undocumented `pub fn f` is beside the point).
+const FLOW_RULES: [Rule; 7] = [
+    Rule::UnitMixedDim,
+    Rule::UnitRawReentry,
+    Rule::UnitAngleRaw,
+    Rule::ParFloatAccum,
+    Rule::ParSharedMut,
+    Rule::UnorderedReduce,
+    Rule::DeadWaiver,
+];
+
+/// Flow rules fired on one file, in reporting order.
+fn fired(path: &str, source: &str) -> Vec<Rule> {
+    let report = lint_sources(&[(path, source)]);
+    let rules = report.diagnostics.into_iter().map(|d| d.rule);
+    rules.filter(|r| FLOW_RULES.contains(r)).collect()
 }
 
 // ---------------------------------------------------------------- unit-mixed-dim
@@ -31,7 +40,7 @@ fn mixed_dim_fires_on_distance_plus_accel_times_time() {
     // a·dt is a speed (m/s² · s), and a speed must not be added to a length.
     let bad = "pub fn f(d: Meters, a: MetersPerSecondSquared, dt: Seconds) -> f64 {\n\
                d.get() + a.get() * dt.get()\n}\n";
-    assert_eq!(fired(REACH_PATH, bad), vec![AstRule::UnitMixedDim]);
+    assert_eq!(fired(REACH_PATH, bad), vec![Rule::UnitMixedDim]);
 }
 
 #[test]
@@ -55,7 +64,7 @@ fn mixed_dim_suppressed_by_allow() {
 #[test]
 fn raw_reentry_fires_when_a_length_becomes_a_speed() {
     let bad = "pub fn f(d: Meters) -> MetersPerSecond { MetersPerSecond::new(d.get()) }\n";
-    assert_eq!(fired(REACH_PATH, bad), vec![AstRule::UnitRawReentry]);
+    assert_eq!(fired(REACH_PATH, bad), vec![Rule::UnitRawReentry]);
 }
 
 #[test]
@@ -79,7 +88,7 @@ fn raw_reentry_suppressed_by_allow() {
 fn angle_raw_fires_on_trig_over_degrees() {
     // The `_deg` suffix marks the literal as degrees; sin() wants radians.
     let bad = "pub fn f() -> f64 { let bearing_deg = 30.0; bearing_deg.cos() }\n";
-    assert_eq!(fired(REACH_PATH, bad), vec![AstRule::UnitAngleRaw]);
+    assert_eq!(fired(REACH_PATH, bad), vec![Rule::UnitAngleRaw]);
 }
 
 #[test]
@@ -102,7 +111,7 @@ fn angle_raw_suppressed_by_allow() {
 #[test]
 fn par_accum_fires_on_parallel_sum() {
     let bad = "pub fn f(xs: &[f64]) -> f64 { xs.par_iter().map(|x| x * 2.0).sum() }\n";
-    assert_eq!(fired(RISK_PATH, bad), vec![AstRule::ParFloatAccum]);
+    assert_eq!(fired(RISK_PATH, bad), vec![Rule::ParFloatAccum]);
 }
 
 #[test]
@@ -111,7 +120,7 @@ fn par_accum_fires_on_captured_accumulator() {
                let mut total = 0.0;\n\
                parallel_map(xs, |x| { total += x; });\n\
                total\n}\n";
-    assert_eq!(fired(RISK_PATH, bad), vec![AstRule::ParFloatAccum]);
+    assert_eq!(fired(RISK_PATH, bad), vec![Rule::ParFloatAccum]);
 }
 
 #[test]
@@ -136,7 +145,7 @@ fn par_accum_suppressed_by_allow() {
 fn shared_mut_fires_on_lock_inside_parallel_closure() {
     let bad = "pub fn f(xs: &[f64]) {\n\
                parallel_map(xs, |x| { shared.lock().unwrap().push(*x); });\n}\n";
-    assert_eq!(fired(RISK_PATH, bad), vec![AstRule::ParSharedMut]);
+    assert_eq!(fired(RISK_PATH, bad), vec![Rule::ParSharedMut]);
 }
 
 #[test]
@@ -159,10 +168,7 @@ fn shared_mut_suppressed_by_allow() {
 #[test]
 fn unordered_reduce_fires_on_hash_map_values_sum() {
     let bad = "pub fn f(m: &HashMap<u32, f64>) -> f64 { m.values().sum() }\n";
-    let rules = fired(RISK_PATH, bad);
-    // The HashMap itself also trips the AST-layer determinism rule; the
-    // flow finding is the iteration-order one.
-    assert!(rules.contains(&AstRule::UnorderedReduce), "got {rules:?}");
+    assert_eq!(fired(RISK_PATH, bad), vec![Rule::UnorderedReduce]);
 }
 
 #[test]
@@ -176,8 +182,7 @@ fn unordered_reduce_suppressed_by_allow() {
     let waived = "pub fn f(m: &HashMap<u32, f64>) -> f64 {\n\
                   // iprism-lint: allow(unordered-reduce) — sum is order-insensitive enough here\n\
                   m.values().sum()\n}\n";
-    let rules = fired(RISK_PATH, waived);
-    assert!(!rules.contains(&AstRule::UnorderedReduce), "got {rules:?}");
+    assert!(fired(RISK_PATH, waived).is_empty());
 }
 
 // ---------------------------------------------------------------- dead-waiver
@@ -187,7 +192,7 @@ fn dead_flow_waiver_fires() {
     let dead = "pub fn f(a: f64) -> f64 {\n\
                 // iprism-lint: allow(par-float-accum)\n\
                 a * 2.0\n}\n";
-    assert_eq!(fired(REACH_PATH, dead), vec![AstRule::DeadWaiver]);
+    assert_eq!(fired(REACH_PATH, dead), vec![Rule::DeadWaiver]);
 }
 
 #[test]
@@ -199,14 +204,16 @@ fn live_flow_waiver_is_not_dead() {
 }
 
 #[test]
-fn mixed_directive_is_left_to_the_other_passes() {
-    // A directive naming both a flow rule and a text/AST rule is not
-    // audited by the flow pass even when the flow rule suppresses nothing:
-    // the other pass owns the other name.
+fn mixed_directive_reports_every_dead_name() {
+    // One audit sees every family's findings, so a directive naming a flow
+    // rule and a token rule is checked name by name.
     let mixed = "pub fn f(a: f64) -> f64 {\n\
                  // iprism-lint: allow(unit-mixed-dim, no-float-eq)\n\
                  a * 2.0\n}\n";
-    assert!(fired(REACH_PATH, mixed).is_empty());
+    assert_eq!(
+        fired(REACH_PATH, mixed),
+        vec![Rule::DeadWaiver, Rule::DeadWaiver]
+    );
 }
 
 // ---------------------------------------------------------------- scope & counting
@@ -214,9 +221,9 @@ fn mixed_directive_is_left_to_the_other_passes() {
 #[test]
 fn test_code_is_outside_the_flow_scope() {
     let bad = "pub fn f(d: Meters, t: Seconds) -> f64 { d.get() + t.get() }\n";
-    let (functions, diagnostics) = flow_lint_source_counted(TEST_PATH, bad);
-    assert_eq!(functions, 0);
-    assert!(diagnostics.is_empty());
+    let report = lint_sources(&[(TEST_PATH, bad)]);
+    assert_eq!(report.flow_functions, 0);
+    assert!(report.diagnostics.is_empty());
 }
 
 #[test]
@@ -224,70 +231,6 @@ fn nested_functions_are_counted_as_their_own_units() {
     let src = "pub fn outer() -> f64 {\n\
                fn inner(x: f64) -> f64 { x }\n\
                inner(1.0)\n}\n";
-    let (functions, diagnostics) = flow_lint_source_counted(REACH_PATH, src);
-    assert_eq!(functions, 2);
-    assert!(diagnostics.is_empty());
-}
-
-// ---------------------------------------------------------------- golden tests
-
-fn workspace_root() -> std::path::PathBuf {
-    // xtask sits one level below the workspace root.
-    let mut root = std::path::PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    root.pop();
-    root
-}
-
-#[test]
-fn workspace_flow_certifies_clean() {
-    let report = run_flow_lint(&workspace_root()).expect("workspace walk");
-    assert!(
-        report.diagnostics.is_empty(),
-        "lint --flow must pass on the workspace:\n{}",
-        report
-            .diagnostics
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join("\n")
-    );
-    assert!(
-        report.files > 100,
-        "expected the whole workspace, got {} files",
-        report.files
-    );
-    assert!(
-        report.functions > 500,
-        "expected hundreds of analysed functions, got {}",
-        report.functions
-    );
-}
-
-/// A seeded mixed-unit addition: metres plus seconds.
-const SEEDED_UNITS: &str = "\
-pub fn seeded_mixed(d: Meters, t: Seconds) -> f64 {
-    d.get() + t.get()
-}
-";
-
-/// A seeded order-sensitive parallel float reduction.
-const SEEDED_REDUCE: &str = "\
-pub fn seeded_reduce(xs: &[f64]) -> f64 {
-    xs.par_iter().map(|x| x * 2.0).sum()
-}
-";
-
-#[test]
-fn golden_seeded_fixtures_produce_the_pinned_flow_report() {
-    let (f1, d1) = flow_lint_source_counted(REACH_PATH, SEEDED_UNITS);
-    let (f2, d2) = flow_lint_source_counted(RISK_PATH, SEEDED_REDUCE);
-    let report = FlowReport {
-        files: 2,
-        functions: f1 + f2,
-        diagnostics: d1.into_iter().chain(d2).collect(),
-    };
-    assert_eq!(
-        report.to_json(),
-        r#"{"schema_version":3,"files_checked":2,"functions":2,"violations":[{"path":"crates/reach/src/fixture.rs","line":2,"col":13,"rule":"unit-mixed-dim","message":"mixed-dimension arithmetic: length (m) + time (s); convert through the iprism-units newtypes first"},{"path":"crates/risk/src/fixture.rs","line":2,"col":36,"rule":"par-float-accum","message":"`.sum()` merges parallel results in nondeterministic order; collect() in index order first, then reduce sequentially"}]}"#
-    );
+    assert_eq!(lint_sources(&[(REACH_PATH, src)]).flow_functions, 2);
+    assert!(fired(REACH_PATH, src).is_empty());
 }
