@@ -7,9 +7,7 @@
 //! cost varies by an order of magnitude — justifying the fast preset used
 //! in the RL loop.
 
-use std::time::Instant;
-
-use iprism_bench::CommonArgs;
+use iprism_bench::{time_ms, CommonArgs};
 use iprism_dynamics::{Trajectory, VehicleState};
 use iprism_map::RoadMap;
 use iprism_reach::{ReachConfig, SamplingMode};
@@ -46,18 +44,6 @@ fn reference_scene() -> (RoadMap, SceneSnapshot) {
     (map, scene)
 }
 
-fn measure(map: &RoadMap, scene: &SceneSnapshot, config: ReachConfig) -> (f64, f64) {
-    let evaluator = StiEvaluator::new(config);
-    // Warm once, then time a few repetitions.
-    let sti = evaluator.evaluate_combined(map, scene);
-    let reps = 5;
-    let t0 = Instant::now();
-    for _ in 0..reps {
-        let _ = evaluator.evaluate_combined(map, scene);
-    }
-    (sti, t0.elapsed().as_secs_f64() * 1e3 / reps as f64)
-}
-
 fn main() {
     let args = CommonArgs::parse();
     let (map, scene) = reference_scene();
@@ -68,7 +54,8 @@ fn main() {
 
     let mut rows: Vec<(String, f64, f64)> = Vec::new();
     let mut run = |label: String, cfg: ReachConfig| {
-        let (sti, ms) = measure(&map, &scene, cfg);
+        let evaluator = StiEvaluator::new(cfg);
+        let (sti, ms) = time_ms(5, || evaluator.evaluate_combined(&map, &scene));
         println!("{label:<34}  {sti:>8.3}  {ms:>10.2}");
         rows.push((label, sti, ms));
     };

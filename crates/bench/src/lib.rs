@@ -1,4 +1,4 @@
-//! Shared helpers for the table/figure regeneration binaries.
+//! Shared helpers for the paper-artifact binaries.
 //!
 //! Each binary reproduces one artifact of the paper's evaluation; run them
 //! with `cargo run --release -p iprism-bench --bin <name>`:
@@ -11,10 +11,19 @@
 //! * `fig6`   — STI percentiles on the benign (Argoverse-like) dataset
 //! * `fig7`   — the four case studies
 //! * `roundabout` — RIP vs RIP+iPrism on the roundabout typology
+//! * `ablation` — STI and cost across the reach-tube design choices
+//! * `overheads` — §V-E execution overheads (EXPERIMENTS.md E11)
 //!
 //! Every binary accepts `--instances N` (sweep size; the paper uses 1000)
 //! and `--seed S`, and writes its results as JSON next to its stdout table
 //! when `--json PATH` is given.
+//!
+//! `ablation` and `overheads` time their rows with [`time_ms`]. Those
+//! readings describe one host and gate nothing: the repository benchmark
+//! (`BENCHMARK.json`, `benchmark/`) measures speed end to end and layer by
+//! layer, and gates regressions.
+
+use std::time::Instant;
 
 use iprism_agents::LbcAgent;
 use iprism_core::{train_smc, Smc, SmcTrainConfig, TrainedPolicyCache};
@@ -50,6 +59,19 @@ pub fn ghost_cut_in_smc(config: &EvalConfig, episodes: usize) -> Smc {
         ),
         None => train_smc(templates, LbcAgent::default(), &train_config).smc,
     }
+}
+
+/// Times `f`: one untimed warm-up call, then `reps` timed calls. Returns
+/// the warm-up call's result and the mean wall-clock milliseconds per timed
+/// call.
+pub fn time_ms<R>(reps: usize, mut f: impl FnMut() -> R) -> (R, f64) {
+    let first = f();
+    let start = Instant::now();
+    for _ in 0..reps {
+        std::hint::black_box(f());
+    }
+    let ms = start.elapsed().as_secs_f64() * 1e3 / reps.max(1) as f64;
+    (first, ms)
 }
 
 /// Prints a CLI usage error and exits with status 2.
@@ -151,5 +173,16 @@ mod tests {
         };
         args.write_json(&42u32); // no path: no-op
         assert_eq!(args.episodes, 100);
+    }
+
+    #[test]
+    fn time_ms_warms_up_once_then_times_reps_calls() {
+        let mut calls = 0;
+        let (first, ms) = time_ms(3, || {
+            calls += 1;
+            calls
+        });
+        assert_eq!((first, calls), (1, 4));
+        assert!(ms >= 0.0);
     }
 }

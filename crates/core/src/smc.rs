@@ -19,11 +19,14 @@ pub struct SmcTrainConfig {
     pub env: EnvConfig,
     /// Training episodes (the paper trains 100 per typology).
     pub episodes: usize,
-    /// Memoize the empty-world tube `|T^∅|` across the training run (on by
+    /// Memoize the tube volumes of the combined STI — both `|T|` and
+    /// `|T^∅|`, every volume `evaluate_combined` computes — across the
+    /// training run through one shared [`iprism_risk::TubeMemo`] (on by
     /// default; silently skipped when the scenario templates use different
     /// maps, where one shared memo would be unsound). Episodes reset to
     /// bit-identical template worlds, so the memo's repeat hits are exact
-    /// and trained weights are unchanged — see the regression test.
+    /// and trained weights are unchanged — see the regression test. The
+    /// field keeps its historical name.
     #[serde(default = "default_true")]
     pub empty_tube_memo: bool,
 }

@@ -62,8 +62,8 @@ pub struct EvalConfig {
     pub reach: iprism_reach::ReachConfig,
     /// Worker threads for scenario sweeps (0 = automatic: the
     /// `IPRISM_STI_THREADS` environment variable when set, else the number
-    /// of CPUs — the same resolution the STI evaluator uses, so one knob
-    /// governs every thread pool).
+    /// of CPUs). [`iprism_risk::resolve_threads`] resolves it, as it does
+    /// the STI evaluator's count, so one knob governs every thread pool.
     pub workers: usize,
     /// Directory for cached trained SMC policies
     /// ([`iprism_core::TrainedPolicyCache`]); `None` disables cross-run
@@ -109,19 +109,7 @@ impl EvalConfig {
     }
 
     pub(crate) fn resolved_workers(&self) -> usize {
-        if self.workers > 0 {
-            return self.workers;
-        }
-        // Mirror StiEvaluator's automatic resolution so `workers` and
-        // `IPRISM_STI_THREADS` are one worker-count mechanism, not two.
-        if let Ok(value) = std::env::var(iprism_risk::STI_THREADS_ENV) {
-            if let Ok(n) = value.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+        iprism_risk::resolve_threads(self.workers)
     }
 }
 

@@ -449,19 +449,51 @@ mod tests {
         assert!(blame.is_unblamed(3));
     }
 
+    /// 66 parked cars behind the ego, 1.4 m apart in each of the three
+    /// lanes: inside its interaction reach but never in its way, they fill
+    /// active positions 0–65. The five blockers ahead then sit at positions
+    /// past the 64-bit mask, so every slice they block is saturated.
+    fn crowd() -> Vec<Obstacle> {
+        let parked = (0..66).map(|i: u32| {
+            stationary_obstacle(93.0 - 1.4 * f64::from(i / 3), 1.75 + 3.5 * f64::from(i % 3))
+        });
+        let blockers = [
+            (109.0, 5.25),
+            (116.0, 1.75),
+            (122.0, 8.75),
+            (128.0, 5.25),
+            (134.0, 1.75),
+        ]
+        .map(|(x, y)| moving_obstacle(x, y, 3.0));
+        parked.chain(blockers).collect()
+    }
+
     #[test]
     fn patch_every_actor_matches_rebuild() {
         let map = open_road();
-        let cfg = ReachConfig::default();
-        let obstacles = scene();
-        let cache = SliceCache::new(&obstacles, &cfg);
-        let all: Vec<usize> = (0..obstacles.len()).collect();
-        let (tube, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
-        for removed in 0..obstacles.len() {
-            let patched = patch_counterfactual(&map, &tube, &blame, &cache, removed, &cfg);
-            let without: Vec<usize> = all.iter().copied().filter(|&i| i != removed).collect();
-            let rebuilt = compute_reach_tube_cached(&map, ego(), &cache, &without, &cfg);
-            assert_eq!(patched, rebuilt, "actor {removed} patch diverged");
+        for (cfg, obstacles) in [
+            (ReachConfig::default(), scene()),
+            (ReachConfig::default(), crowd()),
+            (ReachConfig::fast(), crowd()),
+        ] {
+            let cache = SliceCache::new(&obstacles, &cfg);
+            let all: Vec<usize> = (0..obstacles.len()).collect();
+            let (tube, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
+            if obstacles.len() > 64 {
+                assert_eq!(blame.active().len(), obstacles.len());
+                // Only the blockers block, and each of them saturates.
+                assert!(blame.masks.iter().all(|&m| m == 0 || m == u64::MAX));
+                assert!(blame.masks.contains(&u64::MAX), "no saturated slice");
+                let derived = derive_empty_tube(&map, &tube, &blame, &cache, &cfg);
+                let rebuilt = compute_reach_tube_cached(&map, ego(), &cache, &[], &cfg);
+                assert_eq!(derived, rebuilt, "derived T^∅ diverged");
+            }
+            for removed in 0..obstacles.len() {
+                let patched = patch_counterfactual(&map, &tube, &blame, &cache, removed, &cfg);
+                let without: Vec<usize> = all.iter().copied().filter(|&i| i != removed).collect();
+                let rebuilt = compute_reach_tube_cached(&map, ego(), &cache, &without, &cfg);
+                assert_eq!(patched, rebuilt, "actor {removed} patch diverged");
+            }
         }
     }
 

@@ -50,5 +50,5 @@ pub use memo::TubeMemo;
 pub use metric::{DistCipaMetric, LtfmaMetric, RiskMetric, RiskScore, TtcMetric};
 pub use pkl::{Pkl, PklModel, PklPlannerConfig};
 pub use scene::{SceneActor, SceneSnapshot};
-pub use sti::{Sti, StiEvaluator, STI_THREADS_ENV};
+pub use sti::{resolve_threads, Sti, StiEvaluator, STI_THREADS_ENV};
 pub use ttc::{time_to_collision, TTC_RISK_SECONDS};

@@ -51,6 +51,24 @@ impl Sti {
 /// integer; `1` forces serial evaluation.
 pub const STI_THREADS_ENV: &str = "IPRISM_STI_THREADS";
 
+/// Resolves a worker count: `requested` when positive, else the
+/// [`STI_THREADS_ENV`] environment variable when it parses as a positive
+/// integer, else the host's available parallelism. The STI fan-out and the
+/// experiment sweeps both resolve their worker counts here.
+pub fn resolve_threads(requested: usize) -> usize {
+    if requested > 0 {
+        return requested;
+    }
+    if let Ok(value) = std::env::var(STI_THREADS_ENV) {
+        if let Ok(n) = value.parse::<usize>() {
+            if n > 0 {
+                return n;
+            }
+        }
+    }
+    std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
+}
+
 /// Evaluates STI via counterfactual reach-tube queries.
 ///
 /// Three (plus one per actor) reach-tubes enter each evaluation: `T` with
@@ -291,7 +309,7 @@ impl StiEvaluator {
     /// always returning volumes in job order so the evaluation result is
     /// independent of the thread count.
     fn run_jobs<J: Sync>(&self, jobs: &[J], run: impl Fn(&J) -> f64 + Sync) -> Vec<f64> {
-        let threads = self.effective_threads();
+        let threads = resolve_threads(self.threads);
         if threads <= 1 || jobs.len() <= 1 {
             return jobs.iter().map(&run).collect();
         }
@@ -299,22 +317,6 @@ impl StiEvaluator {
             Ok(pool) => pool.install(|| jobs.par_iter().map(&run).collect()),
             Err(_) => jobs.iter().map(&run).collect(),
         }
-    }
-
-    /// Resolves the effective thread count: explicit setting, else the
-    /// [`STI_THREADS_ENV`] environment variable, else host parallelism.
-    fn effective_threads(&self) -> usize {
-        if self.threads > 0 {
-            return self.threads;
-        }
-        if let Ok(value) = std::env::var(STI_THREADS_ENV) {
-            if let Ok(n) = value.parse::<usize>() {
-                if n > 0 {
-                    return n;
-                }
-            }
-        }
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
     }
 
     fn scene_config(&self, scene: &SceneSnapshot) -> ReachConfig {

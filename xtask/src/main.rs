@@ -7,8 +7,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => lint(&args[1..]),
-        Some("bench-sti") => run_bench_bin("bench_sti", "bench-sti", &args[1..]),
-        Some("bench-train") => run_bench_bin("bench_train", "bench-train", &args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print_usage();
             ExitCode::SUCCESS
@@ -26,15 +24,7 @@ fn print_usage() {
         "usage: cargo xtask <task>\n\n\
          tasks:\n  \
          lint [--json]           run every iPrism lint rule over every workspace .rs file\n                          \
-         in one pass; --json prints the report as one JSON document\n  \
-         bench-sti [--smoke] [PATH]\n                          \
-         time the STI hot path and write BENCH_STI.json (repo root,\n                          \
-         or PATH) with the speedup over the recorded baseline;\n                          \
-         --smoke runs one untimed iteration per tier (CI)\n  \
-         bench-train [--smoke] [PATH]\n                          \
-         time D-DQN training (gradient updates + end-to-end train_smc)\n                          \
-         and write BENCH_TRAIN.json with the speedup over the recorded\n                          \
-         baseline; --smoke runs one untimed iteration (CI)\n\n\
+         in one pass; --json prints the report as one JSON document\n\n\
          lint rules:\n  \
          tokens: no-panic-in-lib, no-float-eq, no-wallclock-in-sim, pub-fn-docs,\n          \
          no-hash-collections, no-unseeded-rng, raw-f64-param, raw-f64-return,\n          \
@@ -92,23 +82,5 @@ fn lint(flags: &[String]) -> ExitCode {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
-}
-
-/// Builds and runs a bench reporter binary in release mode, forwarding any
-/// extra arguments (e.g. `--smoke`, or a PATH overriding the output file).
-fn run_bench_bin(bin: &str, task: &str, args: &[String]) -> ExitCode {
-    let status = std::process::Command::new(env!("CARGO"))
-        .current_dir(workspace_root())
-        .args(["run", "--release", "-p", "iprism-bench", "--bin", bin, "--"])
-        .args(args)
-        .status();
-    match status {
-        Ok(s) if s.success() => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(err) => {
-            eprintln!("xtask {task}: failed to launch cargo: {err}");
-            ExitCode::from(2)
-        }
     }
 }
