@@ -1,6 +1,7 @@
 //! Kinematic bicycle model (paper reference [42]).
 
-use iprism_units::{Meters, MetersPerSecond, MetersPerSecondSquared, Seconds};
+use iprism_geom::Vec2;
+use iprism_units::{Meters, MetersPerSecond, MetersPerSecondSquared, Radians, Seconds};
 use serde::{Deserialize, Serialize};
 
 use crate::{ControlInput, ControlLimits, Trajectory, VehicleState};
@@ -106,26 +107,42 @@ impl BicycleModel {
     /// `tan φ` once. [`BicycleModel::step_prepared`] with the result is
     /// bit-identical to [`BicycleModel::step`] with the raw control.
     pub fn prepare(&self, u: ControlInput) -> PreparedControl {
-        let u = ControlInput::new(
-            if u.accel.is_finite() { u.accel } else { 0.0 },
-            if u.steer.is_finite() { u.steer } else { 0.0 },
-        );
-        let u = self.limits.clamp(u);
         PreparedControl {
-            accel: u.accel,
-            steer_tan: u.steer.tan(),
+            accel: self.prepare_accel(u.acceleration()).get(),
+            steer_tan: self.prepare_steer(Radians::raw(u.steer)),
         }
+    }
+
+    /// The acceleration half of [`BicycleModel::prepare`]: `accel`
+    /// sanitized (non-finite becomes 0) and clamped into the limits.
+    #[inline]
+    pub fn prepare_accel(&self, accel: MetersPerSecondSquared) -> MetersPerSecondSquared {
+        let a = accel.get();
+        let a = if a.is_finite() { a } else { 0.0 };
+        self.limits.clamp_accel(MetersPerSecondSquared::new(a))
+    }
+
+    /// The steering half of [`BicycleModel::prepare`]: the tangent of
+    /// `steer` sanitized (non-finite becomes 0) and clamped into the
+    /// limits.
+    #[inline]
+    pub fn prepare_steer(&self, steer: Radians) -> f64 {
+        let s = steer.get();
+        let s = if s.is_finite() { s } else { 0.0 };
+        self.limits.clamp_steer(Radians::raw(s)).get().tan()
     }
 
     /// [`BicycleModel::step`] with the per-control and per-state
     /// trigonometry hoisted out: `p` carries the clamped control and its
     /// `tan φ`, and `sin_t`/`cos_t` must be `state.theta.sin_cos()`.
     ///
-    /// The reach-tube expansion steps every control of a slice from the same
-    /// parent state, so the caller computes the heading's sin/cos once per
-    /// parent and `tan φ` once per tube instead of once per (parent,
-    /// control) pair. The arithmetic is exactly `step`'s, so results are
-    /// **bit-identical** — only redundant transcendental calls are removed.
+    /// The step is composed of [`BicycleModel::step_position`],
+    /// [`BicycleModel::step_heading`] and [`BicycleModel::step_speed`],
+    /// which the reach-tube expansion calls one axis at a time: every
+    /// control of a parent state shares one position, every steering value
+    /// one heading and every acceleration one speed. The arithmetic is
+    /// exactly `step`'s, so results are **bit-identical** — only redundant
+    /// work is removed.
     // `sin_t`/`cos_t` are dimensionless trig ratios; `raw-f64-param` does
     // not flag them, so no waiver is needed.
     pub fn step_prepared(
@@ -136,7 +153,14 @@ impl BicycleModel {
         sin_t: f64,
         cos_t: f64,
     ) -> VehicleState {
-        let next = self.step_prepared_unchecked(state, p, dt, sin_t, cos_t);
+        debug_assert!(dt.get() >= 0.0, "negative dt");
+        let position = self.step_position(&state, dt, sin_t, cos_t);
+        let next = VehicleState::new(
+            position.x,
+            position.y,
+            self.step_heading(&state, p.steer_tan, dt).get(),
+            self.step_speed(&state, p.acceleration(), dt).get(),
+        );
         if state.is_finite() {
             // Propagation preserves finiteness and heading normalization
             // whenever the input state was well-formed.
@@ -149,32 +173,40 @@ impl BicycleModel {
         next
     }
 
-    /// [`BicycleModel::step_prepared`] without the runtime contracts.
-    ///
-    /// The arithmetic is exactly `step_prepared`'s (the contracts only
-    /// observe the result), so outputs are **bit-identical**. Intended for
-    /// certified panic-free hot paths that revisit states an earlier
-    /// contracted build of the same tube already produced and checked.
-    pub fn step_prepared_unchecked(
-        &self,
-        state: VehicleState,
-        p: PreparedControl,
-        dt: Seconds,
-        sin_t: f64,
-        cos_t: f64,
-    ) -> VehicleState {
+    /// The position part of one Euler step from `state`, whose heading has
+    /// sine `sin_t` and cosine `cos_t`. Every control moves a state to
+    /// this one position.
+    #[inline]
+    pub fn step_position(&self, state: &VehicleState, dt: Seconds, sin_t: f64, cos_t: f64) -> Vec2 {
         let dt = dt.get();
-        debug_assert!(dt >= 0.0, "negative dt");
-        let x = state.x + state.v * cos_t * dt;
-        let y = state.y + state.v * sin_t * dt;
-        let theta = iprism_geom::wrap_to_pi(
-            state.theta + state.v / self.wheelbase.get() * p.steer_tan * dt,
-        );
-        let v = self
-            .limits
-            .clamp_speed(MetersPerSecond::new(state.v + p.accel * dt))
-            .get();
-        VehicleState::new(x, y, theta, v)
+        Vec2::new(
+            state.x + state.v * cos_t * dt,
+            state.y + state.v * sin_t * dt,
+        )
+    }
+
+    /// The heading part of one Euler step from `state` under a prepared
+    /// steering `tangent` (`tan φ`), wrapped into `(-π, π]`. It does not
+    /// depend on the acceleration.
+    #[inline]
+    pub fn step_heading(&self, state: &VehicleState, tangent: f64, dt: Seconds) -> Radians {
+        Radians::raw(iprism_geom::wrap_to_pi(
+            state.theta + state.v / self.wheelbase.get() * tangent * dt.get(),
+        ))
+    }
+
+    /// The speed part of one Euler step from `state` under a prepared
+    /// acceleration, clamped into the speed envelope. It does not depend on
+    /// the steering.
+    #[inline]
+    pub fn step_speed(
+        &self,
+        state: &VehicleState,
+        accel: MetersPerSecondSquared,
+        dt: Seconds,
+    ) -> MetersPerSecond {
+        self.limits
+            .clamp_speed(MetersPerSecond::new(state.v + accel.get() * dt.get()))
     }
 
     /// Rolls out a constant control for `steps` steps of `dt` seconds and

@@ -92,7 +92,7 @@ impl ControlLimits {
     pub fn clamp(&self, u: ControlInput) -> ControlInput {
         ControlInput::new(
             self.clamp_accel(u.acceleration()).get(),
-            u.steer.clamp(self.steer_min, self.steer_max),
+            self.clamp_steer(Radians::raw(u.steer)).get(),
         )
     }
 
@@ -114,6 +114,12 @@ impl ControlLimits {
         MetersPerSecondSquared::new(a.get().clamp(self.accel_min, self.accel_max))
     }
 
+    /// Clamps a steering angle into `[steer_min, steer_max]`.
+    #[inline]
+    pub fn clamp_steer(&self, steer: Radians) -> Radians {
+        Radians::raw(steer.get().clamp(self.steer_min, self.steer_max))
+    }
+
     /// The hardest admissible braking as a positive deceleration magnitude
     /// (`-accel_min`). Zero or negative means the limits allow no braking
     /// at all, so stopping distances are unbounded.
@@ -133,61 +139,61 @@ impl ControlLimits {
         )
     }
 
-    /// The boundary control set used by the paper's optimization 2:
-    /// all combinations of `{0, a_max} × {φ_min, 0, φ_max}`.
+    /// The boundary control set of the paper's optimization 2 as its two
+    /// axes: `{0, a_max} × {φ_min, 0, φ_max}`.
     ///
     /// Propagating only these six inputs traces the reach-tube boundary;
     /// intermediate trajectories are implied between them.
-    pub fn boundary_controls(&self) -> [ControlInput; 6] {
-        [
-            ControlInput::new(0.0, self.steer_min),
-            ControlInput::new(0.0, 0.0),
-            ControlInput::new(0.0, self.steer_max),
-            ControlInput::new(self.accel_max, self.steer_min),
-            ControlInput::new(self.accel_max, 0.0),
-            ControlInput::new(self.accel_max, self.steer_max),
-        ]
+    pub fn boundary_axes(&self) -> ControlAxes {
+        ControlAxes {
+            accels: vec![0.0, self.accel_max],
+            steers: vec![self.steer_min, 0.0, self.steer_max],
+        }
     }
 
     /// The full extreme-control set `{a_min, 0, a_max} × {φ_min, 0, φ_max}`
-    /// (nine inputs), which additionally covers hard braking.
-    pub fn extreme_controls(&self) -> [ControlInput; 9] {
-        let accels = [self.accel_min, 0.0, self.accel_max];
-        let steers = [self.steer_min, 0.0, self.steer_max];
-        let mut out = [ControlInput::COAST; 9];
-        let mut i = 0;
-        for a in accels {
-            for s in steers {
-                out[i] = ControlInput::new(a, s);
-                i += 1;
-            }
+    /// (nine inputs) as its two axes; it additionally covers hard braking.
+    pub fn extreme_axes(&self) -> ControlAxes {
+        ControlAxes {
+            accels: vec![self.accel_min, 0.0, self.accel_max],
+            steers: vec![self.steer_min, 0.0, self.steer_max],
         }
-        out
     }
 
-    /// Uniform lattice of `na × ns` control samples spanning the admissible
-    /// box, endpoints included (so the boundary is always part of the
-    /// samples, as Algorithm 1 requires).
+    /// The uniform lattice of `na × ns` control samples spanning the
+    /// admissible box as its two axes, endpoints included (so the boundary
+    /// is always part of the samples, as Algorithm 1 requires).
     ///
     /// # Panics
     ///
     /// Panics when `na < 2` or `ns < 2`.
-    pub fn lattice(&self, na: usize, ns: usize) -> Vec<ControlInput> {
+    pub fn lattice_axes(&self, na: usize, ns: usize) -> ControlAxes {
         assert!(na >= 2 && ns >= 2, "lattice needs at least 2x2 samples");
-        let mut out = Vec::with_capacity(na * ns);
-        // The `>= 2` assert above keeps both denominators at least 1.
-        let (na_den, ns_den) = ((na - 1) as f64, (ns - 1) as f64);
-        for i in 0..na {
-            let fa = i as f64 / na_den;
-            let a = self.accel_min + fa * (self.accel_max - self.accel_min);
-            for j in 0..ns {
-                let fs = j as f64 / ns_den;
-                let s = self.steer_min + fs * (self.steer_max - self.steer_min);
-                out.push(ControlInput::new(a, s));
-            }
+        ControlAxes {
+            accels: spread(self.accel_min, self.accel_max, na),
+            steers: spread(self.steer_min, self.steer_max, ns),
         }
-        out
     }
+}
+
+/// `n ≥ 2` evenly spaced values from `lo` to `hi`, both included.
+fn spread(lo: f64, hi: f64, n: usize) -> Vec<f64> {
+    let den = (n - 1) as f64;
+    (0..n).map(|i| lo + (i as f64 / den) * (hi - lo)).collect()
+}
+
+/// A sampled control set that is a product of two axes: every acceleration
+/// paired with every steering angle, in acceleration-major order.
+///
+/// The product form is what makes reach-tube expansion cheap: one Euler
+/// step gives every control of a parent state the same position, every
+/// steering angle one heading and every acceleration one speed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ControlAxes {
+    /// Longitudinal accelerations (m/s²): the outer axis.
+    pub accels: Vec<f64>,
+    /// Front-wheel steering angles (rad): the inner axis.
+    pub steers: Vec<f64>,
 }
 
 #[cfg(test)]
@@ -254,46 +260,42 @@ mod tests {
     #[test]
     fn boundary_controls_match_paper() {
         let l = ControlLimits::default();
-        let b = l.boundary_controls();
-        assert_eq!(b.len(), 6);
-        // accelerations drawn from {0, a_max}
-        assert!(b
-            .iter()
-            .all(|u| same(u.accel, 0.0) || same(u.accel, l.accel_max)));
-        // steering drawn from {min, 0, max}
-        assert!(b.iter().all(|u| same(u.steer, l.steer_min)
-            || same(u.steer, 0.0)
-            || same(u.steer, l.steer_max)));
-        // all distinct
-        for i in 0..6 {
-            for j in (i + 1)..6 {
-                assert_ne!(b[i], b[j]);
-            }
-        }
+        let b = l.boundary_axes();
+        // accelerations {0, a_max} × steering {min, 0, max}: six distinct
+        // inputs.
+        assert_eq!(b.accels, [0.0, l.accel_max]);
+        assert_eq!(b.steers, [l.steer_min, 0.0, l.steer_max]);
     }
 
     #[test]
     fn extreme_controls_cover_braking() {
         let l = ControlLimits::default();
-        let e = l.extreme_controls();
-        assert_eq!(e.len(), 9);
-        assert!(e.iter().any(|u| same(u.accel, l.accel_min)));
+        let e = l.extreme_axes();
+        assert_eq!(e.accels, [l.accel_min, 0.0, l.accel_max]);
+        assert_eq!(e.steers, [l.steer_min, 0.0, l.steer_max]);
     }
 
     #[test]
     fn lattice_includes_endpoints() {
         let l = ControlLimits::default();
-        let samples = l.lattice(3, 3);
-        assert_eq!(samples.len(), 9);
-        assert!(samples.contains(&ControlInput::new(l.accel_min, l.steer_min)));
-        assert!(samples.contains(&ControlInput::new(l.accel_max, l.steer_max)));
-        assert!(samples.iter().all(|&u| l.contains(u)));
+        let axes = l.lattice_axes(3, 5);
+        assert_eq!(axes.accels.len(), 3);
+        assert_eq!(axes.steers.len(), 5);
+        assert_eq!(axes.accels.first(), Some(&l.accel_min));
+        assert_eq!(axes.accels.last(), Some(&l.accel_max));
+        assert_eq!(axes.steers.first(), Some(&l.steer_min));
+        assert_eq!(axes.steers.last(), Some(&l.steer_max));
+        for &a in &axes.accels {
+            for &s in &axes.steers {
+                assert!(l.contains(ControlInput::new(a, s)));
+            }
+        }
     }
 
     #[test]
     #[should_panic(expected = "lattice")]
     fn tiny_lattice_panics() {
-        let _ = ControlLimits::default().lattice(1, 3);
+        let _ = ControlLimits::default().lattice_axes(1, 3);
     }
 
     proptest! {
@@ -313,8 +315,11 @@ mod tests {
         #[test]
         fn prop_lattice_within_limits(na in 2usize..8, ns in 2usize..8) {
             let l = ControlLimits::default();
-            for u in l.lattice(na, ns) {
-                prop_assert!(l.contains(u));
+            let axes = l.lattice_axes(na, ns);
+            for &a in &axes.accels {
+                for &s in &axes.steers {
+                    prop_assert!(l.contains(ControlInput::new(a, s)));
+                }
             }
         }
     }

@@ -30,7 +30,7 @@ mod state;
 mod trajectory;
 
 pub use bicycle::{BicycleModel, PreparedControl};
-pub use control::{ControlInput, ControlLimits};
+pub use control::{ControlAxes, ControlInput, ControlLimits};
 pub use cvtr::CvtrModel;
 pub use state::VehicleState;
 pub use trajectory::{Trajectory, TrajectoryCursor};

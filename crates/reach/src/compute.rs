@@ -3,9 +3,10 @@
 use std::cell::RefCell;
 use std::cmp::Ordering;
 
-use iprism_dynamics::{ControlInput, PreparedControl, VehicleState};
+use iprism_dynamics::VehicleState;
 use iprism_geom::{Aabb, Grid2, Meters, Obb, Pose, Radians, Vec2};
 use iprism_map::RoadMap;
+use iprism_units::MetersPerSecondSquared;
 
 use crate::patch::{Basis, Run};
 use crate::slice_cache::SliceLanes;
@@ -119,13 +120,13 @@ pub(crate) fn expand(
     mut basis: Option<&mut Basis<'_>>,
     mut blame: Option<&mut TubeBlame>,
 ) -> ReachTube {
-    // Clamp and take `tan φ` once per control for the whole tube; stepping a
-    // prepared control is bit-identical to stepping the raw one.
-    let prepared = prepare_controls(config);
+    // Clamp and take `tan φ` once per axis value for the whole tube;
+    // stepping prepared values is bit-identical to stepping raw controls.
+    let axes = prepare_controls(config);
     let ctx = Expansion {
         map,
         config,
-        prepared: &prepared,
+        axes: &axes,
         dims: BodyDims::of(config),
         active,
     };
@@ -146,7 +147,7 @@ pub(crate) fn expand(
         if let Some(basis) = basis.as_deref_mut() {
             basis.load_slice(slice_idx - 1);
         }
-        scratch.begin_slice(tube.frontier.len(), prepared.len());
+        scratch.begin_slice(tube.frontier.len(), &axes);
         let out = expand_slice(
             &ctx,
             &lanes,
@@ -161,7 +162,7 @@ pub(crate) fn expand(
         tube.truncated |= out.truncated;
         tube.frontier.clear();
         tube.frontier
-            .extend(scratch.entries.iter().take(out.frontier).map(|e| e.1));
+            .extend(scratch.table.entries.iter().take(out.frontier).map(|e| e.1));
         check_states(&tube.frontier);
         tube.emit_frontier();
     }
@@ -183,7 +184,7 @@ fn check_states(states: &[VehicleState]) {
 struct Expansion<'a> {
     map: &'a RoadMap,
     config: &'a ReachConfig,
-    prepared: &'a [PreparedControl],
+    axes: &'a PreparedAxes,
     dims: BodyDims,
     /// The obstacles the build filters against: cache indices, in scan
     /// order.
@@ -211,47 +212,70 @@ pub(crate) struct Scratch {
     /// the log reaches. A traced build sizes it to its grid; other builds
     /// ignore it.
     pub(crate) cells: Vec<u32>,
-    /// The ε-dedup table: open-addressing slots of `(generation, entry
-    /// index)`. A slot is live iff its tag equals `generation`, so clearing
-    /// between slices is O(1).
-    slots: Vec<(u32, u32)>,
-    generation: u32,
-    /// `(cell key, representative)` of every dedup cell claimed this
-    /// slice, in first-claim order; the kernel leaves the new frontier,
-    /// sorted, at the head.
-    entries: Vec<((u128, u128), VehicleState)>,
+    /// The current parent's finite successor speeds with their dedup
+    /// quanta, at most one per acceleration.
+    speeds: Vec<(f64, u64)>,
+    /// The current parent's passing successor headings with their dedup
+    /// quanta, at most one per steering value.
+    headings: Vec<(f64, u64)>,
+    /// The slice's ε-dedup table.
+    table: CellTable,
 }
 
 impl Scratch {
-    /// Readies the buffers for a slice of `parents` parents with `controls`
-    /// candidates each, and starts a new dedup generation at a load factor
-    /// of at most one half.
-    fn begin_slice(&mut self, parents: usize, controls: usize) {
-        let candidates = parents * controls;
-        if self.entries.len() < candidates {
-            self.entries.resize(candidates, Default::default());
+    /// Readies the buffers for a slice of `parents` parents, each stepped
+    /// under every control of `axes`, and starts a new dedup generation at
+    /// a load factor of at most one half.
+    fn begin_slice(&mut self, parents: usize, axes: &PreparedAxes) {
+        let candidates = parents * axes.accels.len() * axes.steer_tans.len();
+        if self.table.entries.len() < candidates {
+            self.table.entries.resize(candidates, Default::default());
             self.bits.resize(candidates, 0);
             self.codes.resize(candidates, 0);
         }
         if self.ends.len() < parents {
             self.ends.resize(parents, 0);
         }
+        if self.speeds.len() < axes.accels.len() {
+            self.speeds.resize(axes.accels.len(), (0.0, 0));
+        }
+        if self.headings.len() < axes.steer_tans.len() {
+            self.headings.resize(axes.steer_tans.len(), (0.0, 0));
+        }
+        let table = &mut self.table;
         let slots = (candidates.max(1) * 2).next_power_of_two();
-        if self.slots.len() < slots || self.generation == u32::MAX {
+        if table.slots.len() < slots || table.generation == u32::MAX {
             // Every slot of a fresh table is tagged 0, so none is live.
-            self.slots.clear();
-            self.slots.resize(slots, (0, 0));
-            self.generation = 1;
+            table.slots.clear();
+            table.slots.resize(slots, (0, 0));
+            table.generation = 1;
         } else {
-            self.generation += 1;
+            table.generation += 1;
         }
     }
+}
+
+/// A dedup cell key or a frontier rank key: two packed integer pairs.
+type Key = (u128, u128);
+
+/// The ε-dedup table of a slice: open-addressing slots of `(generation,
+/// entry index)` over the claimed cells. A slot is live iff its tag equals
+/// `generation`, so clearing between slices is O(1).
+#[derive(Default)]
+struct CellTable {
+    slots: Vec<(u32, u32)>,
+    generation: u32,
+    /// `(key, representative)` of every dedup cell claimed this slice, in
+    /// first-claim order. The key is the cell key while the slice claims
+    /// cells and the rank key once it ranks them; the kernel leaves the new
+    /// frontier, ranked, at the head.
+    entries: Vec<(Key, VehicleState)>,
 }
 
 /// The counts [`expand_slice`] reports next to what it left in [`Scratch`].
 #[derive(Default)]
 pub(crate) struct SliceOutcome {
-    /// States in the new frontier: the head of `Scratch::entries`.
+    /// States in the new frontier: the head of the table's entries.
     frontier: usize,
     /// `true` when the frontier cap cut the slice.
     pub(crate) truncated: bool,
@@ -268,21 +292,29 @@ pub(crate) struct SliceOutcome {
     pub(crate) mask: u64,
 }
 
-/// Expands one slice: every prepared control is stepped from every parent
-/// in `prev`, the candidates are filtered, the swept segments marked on
-/// `grid`, and the survivors ε-deduplicated into the new frontier, which the
-/// kernel leaves sorted at the head of `scratch.entries`.
+/// Expands one slice: every parent in `prev` is stepped under every control
+/// of the tube's two axes, the candidates are filtered, the swept segments
+/// marked on `grid`, and the survivors ε-deduplicated into the new
+/// frontier, which the kernel leaves ranked at the head of the table's
+/// entries.
 ///
-/// * **Verdicts.** The filters read only a candidate's `(x, y, θ)`, never
-///   `v`, and one Euler step moves every candidate of a parent to the same
-///   position. So siblings sharing a heading share their verdict, and a
+/// * **Axes.** One Euler step moves every candidate of a parent to the
+///   same position, gives every steering value one heading and every
+///   acceleration one speed. So the kernel takes one sin/cos, position and
+///   position quantum per parent, one heading, verdict and heading quantum
+///   per steering value, and one speed and speed quantum per acceleration;
+///   each (acceleration, steering) pair, in acceleration-major order, only
+///   claims its cell. Non-finite candidates are skipped.
+/// * **Verdicts.** The filters read only a candidate's pose `(x, y, θ)`,
+///   never `v`, so siblings sharing a heading share their verdict. A
 ///   per-parent memo keyed by exact heading bits holds one verdict per
-///   distinct steering angle. A memo miss is a *fresh* verdict
+///   distinct heading, in first-need order (two steering values give one
+///   heading at `v = 0`). A memo miss is a *fresh* verdict
 ///   ([`resolve_verdict`]): without a `basis` the whole filter chain runs,
 ///   while a patch reuses the factual verdict wherever the removal cannot
 ///   change it.
-/// * **Volume.** The segment of a parent is marked once, on its first
-///   passing candidate — for *all* feasible transitions, including ones the
+/// * **Volume.** The segment of a parent is marked once when any of its
+///   candidates passes — for *all* feasible transitions, including ones the
 ///   dedup below drops — so the volume does not depend on which duplicate
 ///   becomes the expansion representative.
 /// * **Dedup** (optimization 1). Each dedup cell ([`cell_key`]) keeps a
@@ -291,8 +323,10 @@ pub(crate) struct SliceOutcome {
 ///   generation-tagged open-addressing table. Removing candidates (because
 ///   an obstacle appeared) can therefore only replace a representative with
 ///   a slower one, never with a farther-reaching one. The representatives
-///   are then sorted canonically descending and capped at `max_frontier`,
-///   so probe order never leaks into the result.
+///   are then ranked canonically descending by their integer [`rank_key`]
+///   and capped at `max_frontier` (an overflowing slice selects its top
+///   entries and sorts only those), so probe order never leaks into the
+///   result.
 ///
 /// The slice's record stays in `scratch` for a traced build to keep: each
 /// parent's memo entries (its verdict run) and run end, the newly occupied
@@ -312,6 +346,7 @@ fn expand_slice(
     scratch: &mut Scratch,
 ) -> SliceOutcome {
     let config = ctx.config;
+    let (model, dt, eps) = (&config.model, config.dt, config.dedup_epsilon);
     let mut out = SliceOutcome {
         parents: prev.len(),
         ..SliceOutcome::default()
@@ -320,20 +355,37 @@ fn expand_slice(
     for (k, &state) in prev.iter().enumerate() {
         let run = basis.and_then(|b| b.run(k, &state));
         let first = out.verdicts;
-        let mut marked = false;
-        // One sin/cos of the parent heading serves every control.
+        // One sin/cos and one position serve every control.
         let (sin_t, cos_t) = state.theta.sin_cos();
-        for &p in ctx.prepared {
-            let cand = config
-                .model
-                .step_prepared_unchecked(state, p, config.dt, sin_t, cos_t);
-            if !cand.is_finite() {
+        let pos = model.step_position(&state, dt, sin_t, cos_t);
+        let mut rows = 0;
+        if pos.is_finite() {
+            for &accel in &ctx.axes.accels {
+                let v = model.step_speed(&state, accel, dt).get();
+                if let (true, Some(row)) = (v.is_finite(), scratch.speeds.get_mut(rows)) {
+                    *row = (v, quantum(v, SPEED_QUANTUM));
+                    rows += 1;
+                }
+            }
+        }
+        // Without a finite speed the parent has no finite candidate, so it
+        // needs no verdict.
+        let steers = if rows > 0 {
+            ctx.axes.steer_tans.as_slice()
+        } else {
+            &[]
+        };
+        let mut cols = 0;
+        for &tan in steers {
+            let theta = model.step_heading(&state, tan, dt).get();
+            if !theta.is_finite() {
                 continue;
             }
-            let bits = cand.theta.to_bits();
+            let bits = theta.to_bits();
             let code = match memo_lookup(scratch, first, out.verdicts, bits) {
                 Some(code) => code,
                 None => {
+                    let cand = Pose::new(pos.x, pos.y, Radians::raw(theta));
                     let code = resolve_verdict(ctx, lanes, run, &state, &cand, bits);
                     if let (Some(b), Some(c)) = (
                         scratch.bits.get_mut(out.verdicts),
@@ -352,34 +404,46 @@ fn expand_slice(
                     code
                 }
             };
-            if code != VERDICT_PASS {
-                continue;
+            if let (VERDICT_PASS, Some(col)) = (code, scratch.headings.get_mut(cols)) {
+                *col = (theta, quantum(theta, HEADING_QUANTUM));
+                cols += 1;
             }
-            if !marked {
-                grid.mark_segment_with(state.position(), cand.position(), |cell| {
-                    if let Some(slot) = scratch.cells.get_mut(out.cells) {
-                        *slot = cell;
-                    }
-                    out.cells += 1;
-                });
-                marked = true;
+        }
+        if cols > 0 {
+            grid.mark_segment_with(state.position(), pos, |cell| {
+                if let Some(slot) = scratch.cells.get_mut(out.cells) {
+                    *slot = cell;
+                }
+                out.cells += 1;
+            });
+            let qpos = position_quanta(pos, eps);
+            let headings = scratch.headings.get(..cols).unwrap_or_default();
+            for &(v, qv) in scratch.speeds.get(..rows).unwrap_or_default() {
+                for &(theta, qt) in headings {
+                    let cand = VehicleState::new(pos.x, pos.y, theta, v);
+                    claimed = scratch.table.claim(claimed, cell_key(qpos, qt, qv), cand);
+                }
             }
-            claimed = claim_cell(
-                scratch,
-                claimed,
-                cell_key(&cand, config.dedup_epsilon),
-                cand,
-            );
         }
         if let Some(end) = scratch.ends.get_mut(k) {
             *end = out.verdicts as u32;
         }
     }
-    if let Some(frontier) = scratch.entries.get_mut(..claimed) {
-        frontier.sort_unstable_by(|a, b| canonical_order(&b.1, &a.1));
+    let cap = config.max_frontier;
+    let frontier = scratch.table.entries.get_mut(..claimed).unwrap_or_default();
+    for entry in frontier.iter_mut() {
+        entry.0 = rank_key(&entry.1);
     }
-    out.frontier = claimed.min(config.max_frontier);
-    out.truncated = claimed > config.max_frontier;
+    let descending = |a: &(Key, VehicleState), b: &(Key, VehicleState)| b.0.cmp(&a.0);
+    if claimed > cap {
+        // `cap < claimed`: the selection index is in bounds.
+        frontier.select_nth_unstable_by(cap, descending);
+    }
+    if let Some(top) = frontier.get_mut(..claimed.min(cap)) {
+        top.sort_unstable_by(descending);
+    }
+    out.frontier = claimed.min(cap);
+    out.truncated = claimed > cap;
     out
 }
 
@@ -412,7 +476,7 @@ fn resolve_verdict(
     lanes: &SliceLanes<'_>,
     run: Option<Run<'_>>,
     state: &VehicleState,
-    cand: &VehicleState,
+    cand: &Pose,
     bits: u64,
 ) -> u32 {
     match run.and_then(|r| Some((r.recorded(bits)?, r.removed))) {
@@ -429,66 +493,68 @@ fn resolve_verdict(
     }
 }
 
-/// Files `cand` under its dedup cell `key` in the slice's table: an
-/// unclaimed cell appends an entry, a claimed one keeps the canonically
-/// greater state. Returns the new number of claimed cells.
-fn claim_cell(
-    scratch: &mut Scratch,
-    claimed: usize,
-    key: (u128, u128),
-    cand: VehicleState,
-) -> usize {
-    let mask = scratch.slots.len().wrapping_sub(1);
-    let mut idx = (hash_cell(key) as usize) & mask;
-    for _ in 0..scratch.slots.len() {
-        let Some(slot) = scratch.slots.get_mut(idx) else {
-            break;
-        };
-        if slot.0 != scratch.generation {
-            if let Some(entry) = scratch.entries.get_mut(claimed) {
-                *slot = (scratch.generation, claimed as u32);
-                *entry = (key, cand);
-                return claimed + 1;
-            }
-            break;
-        }
-        if let Some(entry) = scratch.entries.get_mut(slot.1 as usize) {
-            if entry.0 == key {
-                if canonical_order(&cand, &entry.1) == Ordering::Greater {
-                    entry.1 = cand;
+impl CellTable {
+    /// Files `cand` under its dedup cell `key`: an unclaimed cell appends
+    /// an entry, a claimed one keeps the canonically greater state. Returns
+    /// the new number of claimed cells.
+    fn claim(&mut self, claimed: usize, key: Key, cand: VehicleState) -> usize {
+        let mask = self.slots.len().wrapping_sub(1);
+        let mut idx = (hash_cell(key) as usize) & mask;
+        for _ in 0..self.slots.len() {
+            let Some(slot) = self.slots.get_mut(idx) else {
+                break;
+            };
+            if slot.0 != self.generation {
+                if let Some(entry) = self.entries.get_mut(claimed) {
+                    *slot = (self.generation, claimed as u32);
+                    *entry = (key, cand);
+                    return claimed + 1;
                 }
-                return claimed;
+                break;
             }
+            if let Some(entry) = self.entries.get_mut(slot.1 as usize) {
+                if entry.0 == key {
+                    if canonical_order(&cand, &entry.1) == Ordering::Greater {
+                        entry.1 = cand;
+                    }
+                    return claimed;
+                }
+            }
+            idx = (idx + 1) & mask;
         }
-        idx = (idx + 1) & mask;
+        claimed
     }
-    claimed
 }
 
-/// The per-tube prepared control set (mode-dependent sampling, clamped and
-/// `tan φ`-folded once per control).
-fn prepare_controls(config: &ReachConfig) -> Vec<PreparedControl> {
-    let limits = &config.model.limits;
-    // Borrow the fixed-size control arrays in place instead of allocating a
-    // Vec per tube; only the uniform lattice needs heap storage.
-    let boundary;
-    let extreme;
-    let lattice;
-    let controls: &[ControlInput] = match config.mode {
-        SamplingMode::Boundary => {
-            boundary = limits.boundary_controls();
-            &boundary
-        }
-        SamplingMode::Extreme => {
-            extreme = limits.extreme_controls();
-            &extreme
-        }
-        SamplingMode::Uniform { na, ns } => {
-            lattice = limits.lattice(na, ns);
-            &lattice
-        }
+/// A tube's sampled control set as its two prepared axes: the clamped
+/// accelerations and the tangents of the clamped steering angles. Every
+/// acceleration pairs with every steering value.
+struct PreparedAxes {
+    accels: Vec<MetersPerSecondSquared>,
+    steer_tans: Vec<f64>,
+}
+
+/// The per-tube control axes (mode-dependent sampling), each value clamped
+/// and `tan φ`-folded once.
+fn prepare_controls(config: &ReachConfig) -> PreparedAxes {
+    let (model, limits) = (&config.model, &config.model.limits);
+    let axes = match config.mode {
+        SamplingMode::Boundary => limits.boundary_axes(),
+        SamplingMode::Extreme => limits.extreme_axes(),
+        SamplingMode::Uniform { na, ns } => limits.lattice_axes(na, ns),
     };
-    controls.iter().map(|&u| config.model.prepare(u)).collect()
+    PreparedAxes {
+        accels: axes
+            .accels
+            .iter()
+            .map(|&a| model.prepare_accel(MetersPerSecondSquared::new(a)))
+            .collect(),
+        steer_tans: axes
+            .steers
+            .iter()
+            .map(|&s| model.prepare_steer(Radians::raw(s)))
+            .collect(),
+    }
 }
 
 /// The ego-centred occupancy grid of a tube from `ego` under `config`:
@@ -530,12 +596,12 @@ impl BodyDims {
     }
 }
 
-/// The ego body box at a state — bit-identical to
+/// The ego body box at a pose — bit-identical to
 /// `VehicleState::footprint`, built through the assert-free [`Obb::raw`]
 /// so certified panic-free kernels can construct it.
 #[inline]
-fn body_box(s: &VehicleState, length: Meters, width: Meters) -> Obb {
-    Obb::raw(Pose::new(s.x, s.y, Radians::raw(s.theta)), length, width)
+fn body_box(pose: &Pose, length: Meters, width: Meters) -> Obb {
+    Obb::raw(*pose, length, width)
 }
 
 /// The full per-candidate filter verdict: [`VERDICT_OFF_MAP`] when the
@@ -548,7 +614,7 @@ fn body_box(s: &VehicleState, length: Meters, width: Meters) -> Obb {
 fn verdict_for(
     map: &RoadMap,
     state: &VehicleState,
-    cand: &VehicleState,
+    cand: &Pose,
     sin_c: f64,
     cos_c: f64,
     dims: &BodyDims,
@@ -568,7 +634,7 @@ fn verdict_for(
 /// obstacle.
 fn obstacles_verdict(
     state: &VehicleState,
-    cand: &VehicleState,
+    cand: &Pose,
     dims: &BodyDims,
     lanes: &SliceLanes<'_>,
     active: &[u32],
@@ -577,11 +643,10 @@ fn obstacles_verdict(
         return pos;
     }
     // Midpoint check against tunnelling through thin/fast actors.
-    let mid = VehicleState::new(
+    let mid = Pose::new(
         (state.x + cand.x) * 0.5,
         (state.y + cand.y) * 0.5,
-        cand.theta,
-        cand.v,
+        Radians::raw(cand.theta),
     );
     match scan_hit(&mid, dims, lanes.mid_rejects, lanes.mid_obbs, active) {
         Some(pos) => pos,
@@ -595,7 +660,7 @@ fn obstacles_verdict(
 /// box contains the candidate's centre. Returns the active-list position of
 /// the first hit.
 fn scan_hit(
-    cand: &VehicleState,
+    cand: &Pose,
     dims: &BodyDims,
     rejects: &[Aabb],
     obbs: &[Obb],
@@ -621,17 +686,31 @@ fn scan_hit(
     None
 }
 
-/// Order-preserving integer embedding of an `i64` (flipping the sign bit
-/// maps the signed order onto the unsigned order).
+/// The total-order bit image of a float: `a.total_cmp(&b)` equals
+/// `total_order_bits(a).cmp(&total_order_bits(b))`. It is `total_cmp`'s own
+/// signed-integer transform (negative floats have all bits but the sign
+/// flipped) with the sign bit then flipped to order the result unsigned.
 #[inline]
-fn zorder(v: i64) -> u64 {
-    (v as u64) ^ (1 << 63)
+fn total_order_bits(f: f64) -> u64 {
+    let bits = f.to_bits();
+    bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)
+}
+
+/// The integer image of [`canonical_order`]: the total-order bits of
+/// `(v, x, y, θ)` packed high to low, so comparing two rank keys compares
+/// the states canonically at two machine-word comparisons.
+#[inline]
+fn rank_key(s: &VehicleState) -> Key {
+    (
+        (u128::from(total_order_bits(s.v)) << 64) | u128::from(total_order_bits(s.x)),
+        (u128::from(total_order_bits(s.y)) << 64) | u128::from(total_order_bits(s.theta)),
+    )
 }
 
 /// Mixes a packed cell key into a table index (splitmix-style finalizer).
 /// Hash quality only affects probe length, never any result.
 #[inline]
-fn hash_cell(key: (u128, u128)) -> u64 {
+fn hash_cell(key: Key) -> u64 {
     let mut h = (key.0 as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
     h ^= ((key.0 >> 64) as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= (key.1 as u64).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -641,31 +720,36 @@ fn hash_cell(key: (u128, u128)) -> u64 {
     h ^ (h >> 32)
 }
 
-/// The ε-dedup cell of a state as a pair of packed integers: each quantized
-/// coordinate of [`quantize`] is embedded order-preserving in a `u64` and
-/// packed high-to-low, so two states share a `cell_key` iff they share a
-/// `quantize` tuple (the equality the dedup table matches on) and the
-/// lexicographic key order equals the tuple order (so key-sorted groupings
-/// remain available at two machine-word comparisons per key).
-fn cell_key(s: &VehicleState, eps: f64) -> (u128, u128) {
-    let (qx, qy, qt, qv) = quantize(s, eps);
-    (
-        (u128::from(zorder(qx)) << 64) | u128::from(zorder(qy)),
-        (u128::from(zorder(qt)) << 64) | u128::from(zorder(qv)),
-    )
+/// The ε-dedup grid steps of the heading (rad) and speed (m/s) axes; the
+/// position axes step by the configured ε. A state is dropped when all four
+/// quanta match a visited state, approximating the paper's L2-norm
+/// threshold test in O(1).
+const HEADING_QUANTUM: f64 = 0.15;
+const SPEED_QUANTUM: f64 = 1.0;
+
+/// One coordinate's dedup quantum: `value / step` rounded, embedded
+/// order-preserving in a `u64` (flipping the sign bit maps the signed
+/// order onto the unsigned order).
+#[inline]
+fn quantum(value: f64, step: f64) -> u64 {
+    ((value / step).round() as i64 as u64) ^ (1 << 63)
 }
 
-/// Quantizes a state for ε-dedup. Position dims are scaled by ε, heading by
-/// 0.15 rad and speed by 1 m/s — a state is dropped when all four quantized
-/// coordinates match a visited state, approximating the paper's L2-norm
-/// threshold test in O(1).
-fn quantize(s: &VehicleState, eps: f64) -> (i64, i64, i64, i64) {
-    (
-        (s.x / eps).round() as i64,
-        (s.y / eps).round() as i64,
-        (s.theta / 0.15).round() as i64,
-        (s.v / 1.0).round() as i64,
-    )
+/// The position quanta of a candidate position, packed `x` high, `y` low.
+#[inline]
+fn position_quanta(p: Vec2, eps: f64) -> u128 {
+    (u128::from(quantum(p.x, eps)) << 64) | u128::from(quantum(p.y, eps))
+}
+
+/// The ε-dedup cell of a candidate, assembled from the quanta of its axes:
+/// the position quanta (one per parent), the heading quantum (one per
+/// steering value) and the speed quantum (one per acceleration). Two
+/// candidates share a cell iff all four quanta match, and the
+/// lexicographic key order is the order of the quantum tuple `(x, y, θ,
+/// v)`.
+#[inline]
+fn cell_key(position: u128, heading: u64, speed: u64) -> Key {
+    (position, (u128::from(heading) << 64) | u128::from(speed))
 }
 
 /// Deterministic total order on states: primarily by speed — the canonical
@@ -915,10 +999,62 @@ mod tests {
         );
     }
 
+    /// The reference ε-dedup quantization of a state: position by ε,
+    /// heading by 0.15 rad, speed by 1 m/s.
+    fn quantize(s: &VehicleState, eps: f64) -> (i64, i64, i64, i64) {
+        (
+            (s.x / eps).round() as i64,
+            (s.y / eps).round() as i64,
+            (s.theta / 0.15).round() as i64,
+            (s.v / 1.0).round() as i64,
+        )
+    }
+
+    /// The dedup cell key the kernel assembles for a state from its
+    /// per-axis quanta.
+    fn assembled_key(s: &VehicleState, eps: f64) -> Key {
+        cell_key(
+            position_quanta(s.position(), eps),
+            quantum(s.theta, HEADING_QUANTUM),
+            quantum(s.v, SPEED_QUANTUM),
+        )
+    }
+
+    /// Any `f64` bit pattern, with NaNs of either sign, ±0, ±∞, subnormals,
+    /// the extreme finite values and ordinary magnitudes drawn often.
+    fn any_float() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::Strategy;
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001), // signalling NaN
+            f64::from_bits(0xfff8_0000_0000_0001), // negative NaN payload
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::from_bits(1), // smallest subnormal
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff), // largest subnormal
+            f64::MAX,
+            f64::MIN,
+        ];
+        (0u8..3, proptest::prelude::any::<u64>(), -1e3..1e3f64).prop_map(
+            move |(kind, bits, small)| match kind {
+                0 => f64::from_bits(bits),
+                1 => special[(bits % special.len() as u64) as usize],
+                _ => small,
+            },
+        )
+    }
+
     proptest::proptest! {
-        /// `cell_key` is an order-preserving (and equality-preserving)
-        /// embedding of the `quantize` tuple, so the packed dedup sort
-        /// groups and orders cells exactly like the tuple sort it replaced.
+        /// The cell key the kernel assembles from per-axis quanta is an
+        /// order-preserving (and equality-preserving) embedding of the
+        /// `quantize` tuple, so two candidates share a dedup cell iff they
+        /// share a quantized state.
         #[test]
         fn prop_cell_key_orders_like_quantize_tuple(
             a in proptest::collection::vec(-1e7..1e7f64, 4),
@@ -928,8 +1064,30 @@ mod tests {
             let sb = VehicleState::new(b[0], b[1], b[2], b[3]);
             for eps in [0.5, 1.5, 2.0] {
                 let tuple_cmp = quantize(&sa, eps).cmp(&quantize(&sb, eps));
-                let key_cmp = cell_key(&sa, eps).cmp(&cell_key(&sb, eps));
+                let key_cmp = assembled_key(&sa, eps).cmp(&assembled_key(&sb, eps));
                 proptest::prop_assert_eq!(tuple_cmp, key_cmp);
+            }
+        }
+
+        /// The integer rank key orders every pair of states, over arbitrary
+        /// bit patterns, exactly as `canonical_order` does; the frontier
+        /// ranking by rank key is therefore the canonical ranking.
+        #[test]
+        fn prop_rank_key_orders_like_canonical_order(
+            a in proptest::collection::vec(any_float(), 4),
+            b in proptest::collection::vec(any_float(), 4),
+            shared in proptest::collection::vec(proptest::prelude::any::<bool>(), 4),
+        ) {
+            // Components shared between the two states reach the
+            // tie-breaking ones.
+            let pick = |i: usize| if shared[i] { a[i] } else { b[i] };
+            let sa = VehicleState::new(a[0], a[1], a[2], a[3]);
+            let sb = VehicleState::new(pick(0), pick(1), pick(2), pick(3));
+            for (x, y) in [(sa, sb), (sb, sa), (sa, sa)] {
+                proptest::prop_assert_eq!(
+                    rank_key(&x).cmp(&rank_key(&y)),
+                    canonical_order(&x, &y)
+                );
             }
         }
 

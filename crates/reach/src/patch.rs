@@ -570,6 +570,13 @@ mod tests {
         assert_eq!(derived, rebuilt);
     }
 
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+    /// One FNV-1a step over byte `b`.
+    fn fnv(h: u64, b: u8) -> u64 {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    }
+
     /// FNV-1a over every lane of a blame record, each lane prefixed by its
     /// length so that records differing only in lane boundaries differ.
     fn blame_fingerprint(blame: &TubeBlame) -> u64 {
@@ -585,21 +592,35 @@ mod tests {
             blame.masks.clone(),
             blame.truncated.iter().map(|&t| u64::from(t)).collect(),
         ];
-        lanes.iter().fold(0xcbf2_9ce4_8422_2325, |h, lane| {
+        lanes.iter().fold(FNV_OFFSET, |h, lane| {
             std::iter::once(lane.len() as u64)
                 .chain(lane.iter().copied())
                 .flat_map(u64::to_le_bytes)
-                .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+                .fold(h, fnv)
         })
     }
 
-    /// The traced build's blame record is pinned lane for lane: the scene
-    /// above, the three pinned `T^∅` regimes and an 8-actor moving scene,
-    /// under both presets. A change to how the record is written must leave
-    /// every recorded verdict, offset, cell and flag where it was.
-    #[test]
-    fn traced_blame_record_is_pinned() {
-        let moving: Vec<Obstacle> = [
+    /// FNV-1a over a tube's state lanes (slice by slice, each slice
+    /// prefixed by its length), its truncation flag and its grid (through
+    /// the grid's `Debug` image, which lists every cell).
+    fn tube_fingerprint(tube: &ReachTube) -> u64 {
+        let states = tube.slices().iter().flat_map(|slice| {
+            std::iter::once(slice.len() as u64).chain(
+                slice
+                    .iter()
+                    .flat_map(|s| [s.x, s.y, s.theta, s.v].map(f64::to_bits)),
+            )
+        });
+        let h = states
+            .chain([u64::from(tube.was_truncated())])
+            .flat_map(u64::to_le_bytes)
+            .fold(FNV_OFFSET, fnv);
+        format!("{:?}", tube.grid()).bytes().fold(h, fnv)
+    }
+
+    /// Eight actors driving along the three lanes, leading and oncoming.
+    fn moving_scene() -> Vec<Obstacle> {
+        [
             (112.0, 5.25, 4.0),
             (125.0, 8.75, -6.0),
             (104.0, 1.75, 7.0),
@@ -611,16 +632,24 @@ mod tests {
         ]
         .iter()
         .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
-        .collect();
+        .collect()
+    }
+
+    /// The traced build's blame record is pinned lane for lane: the scene
+    /// above, the three pinned `T^∅` regimes and an 8-actor moving scene,
+    /// under both presets. A change to how the record is written must leave
+    /// every recorded verdict, offset, cell and flag where it was.
+    #[test]
+    fn traced_blame_record_is_pinned() {
         let scenes = [
             scene(),
             vec![stationary_obstacle(115.0, 14.0)],
             vec![stationary_obstacle(106.0, 5.25)],
             vec![stationary_obstacle(128.0, 5.25)],
-            moving,
+            moving_scene(),
         ];
         let map = open_road();
-        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        let mut h = FNV_OFFSET;
         for cfg in [ReachConfig::default(), ReachConfig::fast()] {
             for obstacles in &scenes {
                 let cache = SliceCache::new(obstacles, &cfg);
@@ -632,6 +661,45 @@ mod tests {
         assert_eq!(
             h, 0xd312_6649_7bab_4e62,
             "blame record fingerprint {h:#018x}"
+        );
+    }
+
+    /// Traced tubes and their blame records are pinned under every
+    /// sampling mode: both presets sample in Boundary mode, so the golden
+    /// suites and [`traced_blame_record_is_pinned`] never reach Extreme or
+    /// Uniform, where a kernel that reordered candidates would go
+    /// unnoticed. The constant was taken from the per-control kernel that
+    /// stepped a flat control list, before expansion along the control axes
+    /// replaced it.
+    #[test]
+    fn tubes_are_pinned_for_every_sampling_mode() {
+        let modes = [
+            SamplingMode::Boundary,
+            SamplingMode::Extreme,
+            SamplingMode::Uniform { na: 3, ns: 5 },
+            SamplingMode::Uniform { na: 4, ns: 7 },
+        ];
+        let map = open_road();
+        let mut h = FNV_OFFSET;
+        for preset in [ReachConfig::default(), ReachConfig::fast()] {
+            for mode in modes {
+                let cfg = ReachConfig {
+                    mode,
+                    ..preset.clone()
+                };
+                for obstacles in [scene(), moving_scene()] {
+                    let cache = SliceCache::new(&obstacles, &cfg);
+                    let all: Vec<usize> = (0..obstacles.len()).collect();
+                    let (tube, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
+                    for part in [tube_fingerprint(&tube), blame_fingerprint(&blame)] {
+                        h = (h ^ part).wrapping_mul(0x0100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            h, 0x6931_75d2_f91b_6ad5,
+            "sampling-mode tube fingerprint {h:#018x}"
         );
     }
 
