@@ -103,8 +103,8 @@ impl CommonArgs {
     pub fn parse() -> Self {
         // SMC training is bit-deterministic, so the regeneration binaries
         // share trained policies across runs (and across each other) via
-        // snapshots under results/policies/. Disable by setting
-        // IPRISM_POLICY_CACHE=0.
+        // snapshots under results/policies/. Delete that directory to
+        // retrain.
         let mut config = EvalConfig {
             policy_dir: Some(
                 concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/policies").to_string(),

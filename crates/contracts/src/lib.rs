@@ -11,21 +11,20 @@
 //! * **Finite kinematics** — no state component is NaN or infinite.
 //! * **Heading normalization** — headings stay wrapped in `(-π, π]`.
 //!
-//! Checks are compiled in under the default-on `validate` cargo feature
-//! with `debug_assert!` semantics: active in debug builds (so `cargo test`
-//! exercises them), compiled out entirely in `--release` builds and in
-//! `--no-default-features` builds. Violations panic with a message naming
-//! the boundary that was crossed.
+//! Checks have `debug_assert!` semantics: active in debug builds (so
+//! `cargo test` exercises them), compiled out entirely in `--release`
+//! builds. Violations panic with a message naming the boundary that was
+//! crossed.
 //!
 //! This crate sits below every other iPrism crate so the checks can run at
 //! the public boundaries of `reach`, `risk`, `dynamics`, and `sim`;
 //! `iprism-core` re-exports it as `iprism_core::invariants`.
 
-/// `true` when contract checking is compiled in and active.
+/// `true` when contract checking is compiled in and active (debug builds).
 #[inline]
 #[must_use]
 pub const fn validation_enabled() -> bool {
-    cfg!(all(feature = "validate", debug_assertions))
+    cfg!(debug_assertions)
 }
 
 /// Relative slack for reach-tube monotonicity comparisons.
@@ -230,8 +229,8 @@ mod tests {
 
     #[test]
     fn enabled_in_debug_tests() {
-        // This test suite runs under the debug profile with the default
-        // feature set, so validation must be active here.
+        // This test suite runs under the debug profile, so validation must
+        // be active here.
         assert!(validation_enabled());
     }
 }

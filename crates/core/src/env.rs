@@ -108,14 +108,14 @@ impl<A: EgoController> MitigationEnv<A> {
         &self.world
     }
 
-    /// Enables counterfactual tube memoization on the internal STI
-    /// evaluator and returns the (shared) memo handle for inspection.
+    /// Enables tube memoization on the internal STI evaluator's combined
+    /// STI and returns the (shared) memo handle for inspection.
     ///
     /// Along an SMC episode the ego revisits identical states whenever
     /// episodes replay a shared action prefix (and near-identical ones when
     /// stopped or cruising steadily); against a static hazard the obstacle
-    /// footprints recur too, so both reach-tube computations of most
-    /// [`MitigationEnv::current_sti`] calls become cache hits. The memo's
+    /// footprints recur too, so a [`MitigationEnv::current_sti`] call on a
+    /// recurring state finds both of its tube volumes cached. The memo's
     /// key excludes the map (see [`TubeMemo`]), which is sound here because
     /// every scenario template is required to share one map.
     ///

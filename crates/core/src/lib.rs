@@ -54,7 +54,7 @@ mod smc;
 pub use env::{EnvConfig, MitigationEnv};
 pub use features::{FeatureExtractor, FEATURE_DIM};
 pub use iprism::Iprism;
-pub use policy_cache::{TrainedPolicyCache, POLICY_CACHE_ENV};
+pub use policy_cache::TrainedPolicyCache;
 pub use reward::{RewardModel, RewardWeights};
 pub use smc::{train_smc, Smc, SmcTrainConfig, TrainedSmc};
 

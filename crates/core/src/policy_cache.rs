@@ -11,42 +11,23 @@
 //! Because training is bit-deterministic under a seed (see
 //! `tests/golden_train.rs`), a cache hit is *exactly* the policy a fresh
 //! training run would produce; the cache changes wall-clock time, never
-//! results. Set `IPRISM_POLICY_CACHE=0` (or `off`/`false`) to force
-//! retraining anyway, e.g. when timing training itself.
+//! results. A caller that must train afresh passes no cache directory
+//! (`EvalConfig::policy_dir: None`).
 
 use std::path::PathBuf;
 
 use crate::{Smc, SmcTrainConfig};
 
-/// Environment variable that disables the policy cache when set to `"0"`,
-/// `"off"` or `"false"` (case-insensitive).
-pub const POLICY_CACHE_ENV: &str = "IPRISM_POLICY_CACHE";
-
 /// A directory of serialized [`Smc`] policies keyed by training fingerprint.
 #[derive(Debug, Clone)]
 pub struct TrainedPolicyCache {
     dir: PathBuf,
-    enabled: bool,
 }
 
 impl TrainedPolicyCache {
-    /// A cache rooted at `dir` (created lazily on the first store), honoring
-    /// the [`POLICY_CACHE_ENV`] opt-out.
+    /// A cache rooted at `dir` (created lazily on the first store).
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        let enabled = match std::env::var(POLICY_CACHE_ENV) {
-            Ok(v) => !matches!(v.to_lowercase().as_str(), "0" | "off" | "false"),
-            Err(_) => true,
-        };
-        TrainedPolicyCache {
-            dir: dir.into(),
-            enabled,
-        }
-    }
-
-    /// Whether lookups and stores are active (the env opt-out disables both).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
+        TrainedPolicyCache { dir: dir.into() }
     }
 
     /// The snapshot path for a `(config, scenario_key)` pair.
@@ -67,19 +48,15 @@ impl TrainedPolicyCache {
         train: impl FnOnce() -> Smc,
     ) -> Smc {
         let path = self.path_for(config, scenario_key);
-        if self.enabled {
-            if let Ok(smc) = Smc::load(&path) {
-                return smc;
-            }
+        if let Ok(smc) = Smc::load(&path) {
+            return smc;
         }
         let smc = train();
-        if self.enabled {
-            if let Err(e) = std::fs::create_dir_all(&self.dir).and_then(|()| smc.save(&path)) {
-                eprintln!(
-                    "note: policy cache store failed for {}: {e}",
-                    path.display()
-                );
-            }
+        if let Err(e) = std::fs::create_dir_all(&self.dir).and_then(|()| smc.save(&path)) {
+            eprintln!(
+                "note: policy cache store failed for {}: {e}",
+                path.display()
+            );
         }
         smc
     }

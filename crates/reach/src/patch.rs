@@ -493,6 +493,9 @@ mod tests {
                 let without: Vec<usize> = all.iter().copied().filter(|&i| i != removed).collect();
                 let rebuilt = compute_reach_tube_cached(&map, ego(), &cache, &without, &cfg);
                 assert_eq!(patched, rebuilt, "actor {removed} patch diverged");
+                if blame.is_unblamed(removed) {
+                    assert_eq!(rebuilt, tube, "unblamed actor {removed} changed the tube");
+                }
             }
         }
     }
@@ -756,6 +759,11 @@ mod tests {
                 all.iter().copied().filter(|&i| i != removed).collect();
             let rebuilt =
                 compute_reach_tube_cached(&map, ego(), &cache, &without, &cfg);
+            // An actor the blame record never blamed blocked nothing: the
+            // rebuild without it is the factual tube itself.
+            if blame.is_unblamed(removed) {
+                prop_assert_eq!(&rebuilt, &tube);
+            }
             prop_assert_eq!(patched, rebuilt);
         }
     }

@@ -1,23 +1,26 @@
-//! Opt-in memoization of counterfactual tube volumes.
+//! Opt-in memoization of the combined STI's two tube volumes.
 //!
-//! Every STI evaluation recomputes its reach-tubes, yet each volume is a
-//! pure function of the ego state, the map, the reach configuration and the
-//! *interpolated obstacle footprints* of the tube's active obstacle set
-//! (`|T^∅|` depends on no obstacles at all). Along an SMC mitigation
-//! episode the ego revisits identical states whenever episodes replay a
-//! shared action prefix, or when it is stopped or cruising steadily — and
-//! against a static hazard the obstacle footprints recur too, so whole
-//! evaluations are recomputed over and over for the same answer.
+//! `StiEvaluator::evaluate_combined` — the SMC reward, evaluated at every
+//! RL step — needs `|T|` and `|T^∅|`. Each is a pure function of the ego
+//! state, the map, the reach configuration and the *interpolated obstacle
+//! footprints* of the tube's active obstacle set (`|T^∅|` depends on no
+//! obstacles at all). Along an SMC mitigation episode the ego revisits
+//! identical states whenever episodes replay a shared action prefix, or
+//! when it is stopped or cruising steadily — and against a static hazard
+//! the obstacle footprints recur too, so the same volumes are recomputed
+//! over and over for the same answer.
 //!
 //! [`TubeMemo`] caches tube volumes keyed by the **quantized** ego state
 //! (millimetre/centi-milliradian resolution), a fingerprint of every
 //! config field the tube depends on, and a fingerprint of the active
 //! obstacles' interpolated slice footprints
 //! ([`iprism_reach::SliceCache::fingerprint`]; the empty set keys `|T^∅|`).
-//! It is strictly **opt-in** (`StiEvaluator::with_tube_memo`): within one
-//! ego quantization cell the cached volume substitutes for an exact
-//! recomputation, a deliberate, bounded approximation that the default
-//! evaluator never makes.
+//! That fingerprint folds in the active count first, so the keys of `|T|`
+//! and `|T^∅|` differ whenever the scene has an actor. The memo is
+//! strictly **opt-in** (`StiEvaluator::with_tube_memo`) and serves only
+//! `evaluate_combined`: within one ego quantization cell the cached volume
+//! substitutes for an exact recomputation, a deliberate, bounded
+//! approximation that the default evaluator never makes.
 //!
 //! The map is *not* part of the key — a memo handle must only be used with
 //! one map, which is how `iprism_core`'s mitigation environment (one map
@@ -29,17 +32,9 @@ use std::sync::Mutex;
 use iprism_dynamics::VehicleState;
 use iprism_reach::ReachConfig;
 
-/// Quantized ego state `(x, y, θ, v)` plus config, obstacle-footprint and
-/// active-subset fingerprints.
-///
-/// The final component fingerprints the active obstacle *indices*
-/// ([`subset_fingerprint`]), not their geometry. The footprint fingerprint
-/// alone cannot tell two different subsets apart when their members'
-/// interpolated footprints happen to hash identically — e.g. two actors in
-/// near-collision occupying bit-identical poses, where "all minus A" and
-/// "all minus B" fingerprint the same geometry. Keying the index subset in
-/// makes such counterfactual entries structurally distinct.
-pub(crate) type MemoKey = (i64, i64, i64, i64, u64, u64, u64);
+/// Quantized ego state `(x, y, θ, v)` plus config and obstacle-footprint
+/// fingerprints.
+pub(crate) type MemoKey = (i64, i64, i64, i64, u64, u64);
 
 /// Position quantum (m) for memo keys: 1 mm.
 const POS_QUANTUM: f64 = 1e-3;
@@ -48,15 +43,15 @@ const ANGLE_QUANTUM: f64 = 1e-4;
 /// Speed quantum (m/s) for memo keys: 1 mm/s.
 const SPEED_QUANTUM: f64 = 1e-3;
 
-/// A shared, thread-safe cache of counterfactual tube volumes (factual,
-/// empty-world and per-actor alike — the obstacle-footprint fingerprint in
-/// the key tells them apart).
+/// A shared, thread-safe cache of the factual and empty-world tube volumes
+/// of `StiEvaluator::evaluate_combined` (the obstacle-footprint fingerprint
+/// in the key tells them apart).
 ///
 /// Create one with [`TubeMemo::new`], wrap it in an [`std::sync::Arc`],
 /// and hand it to every evaluator that should share it via
 /// `StiEvaluator::with_tube_memo`. Lookups and inserts are guarded by a
-/// mutex; on a poisoned lock the memo degrades to computing without caching
-/// rather than panicking.
+/// mutex; on a poisoned lock the memo degrades to missing every lookup and
+/// dropping every insert rather than panicking.
 #[derive(Debug, Default)]
 pub struct TubeMemo {
     entries: Mutex<BTreeMap<MemoKey, f64>>,
@@ -98,39 +93,12 @@ impl TubeMemo {
             map.insert(key, volume);
         }
     }
-
-    /// Returns the cached volume for `key`, computing and caching it with
-    /// `compute` on a miss.
-    pub(crate) fn get_or_compute(&self, key: MemoKey, compute: impl FnOnce() -> f64) -> f64 {
-        match self.entries.lock() {
-            Ok(map) => {
-                if let Some(&v) = map.get(&key) {
-                    return v;
-                }
-            }
-            Err(_) => return compute(),
-        }
-        // The lock is dropped during the (milliseconds-long) computation so
-        // concurrent evaluations of *different* states proceed in parallel;
-        // a racing duplicate insert writes the same deterministic value.
-        let v = compute();
-        if let Ok(mut map) = self.entries.lock() {
-            map.insert(key, v);
-        }
-        v
-    }
 }
 
 /// Builds the memo key for an ego state under a configuration, with
 /// `obstacles_fp` fingerprinting the tube's active obstacle footprints
-/// ([`iprism_reach::SliceCache::fingerprint`] of the active set) and
-/// `subset_fp` its index subset ([`subset_fingerprint`]).
-pub(crate) fn memo_key(
-    ego: &VehicleState,
-    config: &ReachConfig,
-    obstacles_fp: u64,
-    subset_fp: u64,
-) -> MemoKey {
+/// ([`iprism_reach::SliceCache::fingerprint`] of the active set).
+pub(crate) fn memo_key(ego: &VehicleState, config: &ReachConfig, obstacles_fp: u64) -> MemoKey {
     (
         (ego.x / POS_QUANTUM).round() as i64,
         (ego.y / POS_QUANTUM).round() as i64,
@@ -138,22 +106,7 @@ pub(crate) fn memo_key(
         (ego.v / SPEED_QUANTUM).round() as i64,
         config_fingerprint(config),
         obstacles_fp,
-        subset_fp,
     )
-}
-
-/// FNV-1a fingerprint of an active obstacle index subset. Two calls agree
-/// exactly when the index lists agree element-for-element, so `T^∅` and a
-/// counterfactual whose reduced set is empty share a fingerprint (both
-/// describe the same no-obstacle tube) while any two differing subsets —
-/// even with colliding footprint hashes — get distinct key components.
-pub(crate) fn subset_fingerprint(active: &[usize]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325_u64;
-    h = fold(h, active.len() as u64);
-    for &i in active {
-        h = fold(h, i as u64);
-    }
-    h
 }
 
 #[inline]
@@ -216,50 +169,29 @@ mod tests {
     }
 
     #[test]
-    fn get_or_compute_caches() {
+    fn inserted_volumes_are_cached_until_cleared() {
         let memo = TubeMemo::new();
         assert!(memo.is_empty());
-        let key = memo_key(&ego(), &ReachConfig::default(), 7, 0);
-        let mut calls = 0;
-        let v1 = memo.get_or_compute(key, || {
-            calls += 1;
-            42.5
-        });
-        let v2 = memo.get_or_compute(key, || {
-            calls += 1;
-            -1.0
-        });
-        assert_eq!(v1, 42.5);
-        assert_eq!(v2, 42.5);
-        assert_eq!(calls, 1);
+        let key = memo_key(&ego(), &ReachConfig::default(), 7);
+        assert_eq!(memo.get(&key), None);
+        memo.insert(key, 42.5);
+        assert_eq!(memo.get(&key), Some(42.5));
         assert_eq!(memo.len(), 1);
         memo.clear();
         assert!(memo.is_empty());
+        assert_eq!(memo.get(&key), None);
     }
 
     #[test]
     fn key_distinguishes_states_beyond_quantum() {
         let cfg = ReachConfig::default();
-        let a = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 0, 0);
-        let b = memo_key(&VehicleState::new(100.1, 5.25, 0.0, 10.0), &cfg, 0, 0);
-        let c = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 0, 0);
-        let d = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 0, 1);
+        let a = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 0);
+        let b = memo_key(&VehicleState::new(100.1, 5.25, 0.0, 10.0), &cfg, 0);
+        let c = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 0);
+        let d = memo_key(&VehicleState::new(100.0, 5.25, 0.0, 10.0), &cfg, 1);
         assert_ne!(a, b);
         assert_eq!(a, c);
-        assert_ne!(a, d, "subset fingerprint must distinguish keys");
-    }
-
-    #[test]
-    fn subset_fingerprint_separates_differing_subsets() {
-        // Differing index subsets never share a fingerprint, even when the
-        // members' geometry would hash identically (the aliasing the 7th
-        // key component exists to prevent)…
-        assert_ne!(subset_fingerprint(&[0]), subset_fingerprint(&[1]));
-        assert_ne!(subset_fingerprint(&[0, 1]), subset_fingerprint(&[0, 2]));
-        assert_ne!(subset_fingerprint(&[0]), subset_fingerprint(&[0, 1]));
-        // …while the empty set is canonical: `T^∅` and an
-        // every-obstacle-removed counterfactual share one entry.
-        assert_eq!(subset_fingerprint(&[]), subset_fingerprint(&[]));
+        assert_ne!(a, d, "obstacle fingerprint must distinguish keys");
     }
 
     #[test]
@@ -267,8 +199,8 @@ mod tests {
         let base = ReachConfig::default();
         let shifted = base.at_time(Seconds::new(37.5));
         assert_eq!(
-            memo_key(&ego(), &base, 0, 0).4,
-            memo_key(&ego(), &shifted, 0, 0).4
+            memo_key(&ego(), &base, 0).4,
+            memo_key(&ego(), &shifted, 0).4
         );
 
         let coarser = ReachConfig {
@@ -276,21 +208,15 @@ mod tests {
             ..ReachConfig::default()
         };
         assert_ne!(
-            memo_key(&ego(), &base, 0, 0).4,
-            memo_key(&ego(), &coarser, 0, 0).4
+            memo_key(&ego(), &base, 0).4,
+            memo_key(&ego(), &coarser, 0).4
         );
         let fewer = ReachConfig {
             max_frontier: 100,
             ..ReachConfig::default()
         };
-        assert_ne!(
-            memo_key(&ego(), &base, 0, 0).4,
-            memo_key(&ego(), &fewer, 0, 0).4
-        );
+        assert_ne!(memo_key(&ego(), &base, 0).4, memo_key(&ego(), &fewer, 0).4);
         let fast = ReachConfig::fast();
-        assert_ne!(
-            memo_key(&ego(), &base, 0, 0).4,
-            memo_key(&ego(), &fast, 0, 0).4
-        );
+        assert_ne!(memo_key(&ego(), &base, 0).4, memo_key(&ego(), &fast, 0).4);
     }
 }

@@ -13,7 +13,7 @@ use iprism_units::{Meters, Seconds};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
-use crate::memo::{memo_key, subset_fingerprint, MemoKey};
+use crate::memo::{memo_key, MemoKey};
 use crate::{SceneSnapshot, TubeMemo};
 
 /// Result of an STI evaluation.
@@ -92,16 +92,21 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// * each `T^{/i}` ([`patch_counterfactual`]) revisits only the work whose
 ///   blocking verdict involved the removed actor.
 ///
+/// Only actors the traced build's blame record ([`TubeBlame`]) blames get
+/// a patch. An actor the record never blames — out of the ego's reach, or
+/// in reach but never the recorded blocker of a candidate — leaves every
+/// verdict unchanged when removed, so its `T^{/i}` is `T` itself and its
+/// STI is exactly `0`.
+///
 /// All tubes of one evaluation share a single precomputed [`SliceCache`]
 /// (obstacle footprints are interpolated once, not once per tube). The
 /// derivations are fanned out over a rayon thread pool sized by
 /// [`StiEvaluator::with_threads`]; results are collected in deterministic
 /// order and each derivation is a pure function of the traced build, so
 /// the output is **byte-for-byte identical** for every thread count,
-/// including fully serial. Actors whose swept extent the ego provably
-/// cannot reach are skipped outright — their counterfactual tube is
-/// bit-identical to the factual tube, so their STI is exactly `0` either
-/// way.
+/// including fully serial.
+///
+/// [`TubeBlame`]: iprism_reach::TubeBlame
 #[derive(Debug, Clone, Default)]
 pub struct StiEvaluator {
     /// Reach-tube parameters.
@@ -110,7 +115,7 @@ pub struct StiEvaluator {
     /// (the [`STI_THREADS_ENV`] environment variable when set, otherwise the
     /// host's available parallelism); `1` = serial.
     threads: usize,
-    /// Opt-in shared cache of counterfactual tube volumes.
+    /// Opt-in shared cache of the combined STI's two tube volumes.
     tube_memo: Option<Arc<TubeMemo>>,
 }
 
@@ -135,13 +140,13 @@ impl StiEvaluator {
         self
     }
 
-    /// Opts in to counterfactual tube memoization through a shared
-    /// [`TubeMemo`] (see the memo's documentation for the exactness
-    /// trade-off — within one ego quantization cell the cached volume
-    /// stands in for recomputation). All tube kinds are cached: the
-    /// obstacle-footprint fingerprint in the key separates the factual,
-    /// empty and per-actor counterfactual volumes. The memo must only be
-    /// shared between evaluators operating on the same map.
+    /// Opts [`StiEvaluator::evaluate_combined`] in to tube memoization
+    /// through a shared [`TubeMemo`] (see the memo's documentation for the
+    /// exactness trade-off — within one ego quantization cell the cached
+    /// volume stands in for recomputation). It caches `|T|` and `|T^∅|`;
+    /// [`StiEvaluator::evaluate`] neither reads nor writes the memo. The
+    /// memo must only be shared between evaluators operating on the same
+    /// map.
     #[must_use]
     pub fn with_tube_memo(mut self, memo: Arc<TubeMemo>) -> Self {
         self.tube_memo = Some(memo);
@@ -160,72 +165,33 @@ impl StiEvaluator {
         let cfg = self.scene_config(scene);
         let obstacles = scene.obstacles();
         let cache = SliceCache::new(&obstacles, &cfg);
-        let n = obstacles.len();
-        let all_idx: Vec<usize> = (0..n).collect();
-
-        // Reachable actors get a real counterfactual; unreachable actors
-        // (broadphase-proven) reuse the factual volume — their tube would
-        // be bit-identical anyway.
-        let mut reachable: Vec<usize> = Vec::new();
-        let mut slot_of_actor: Vec<Option<usize>> = Vec::with_capacity(n);
-        for i in 0..n {
-            if cache.interacts(i, &scene.ego) {
-                slot_of_actor.push(Some(reachable.len()));
-                reachable.push(i);
-            } else {
-                slot_of_actor.push(None);
-            }
-        }
-
-        // Memo probe-first: when every needed volume is already cached, the
-        // evaluation completes without building a single tube. (A partial
-        // hit still pays for the traced factual build below — the patches
-        // need it — but each cached counterfactual skips its patch.)
-        if let Some(memo) = &self.tube_memo {
-            let hit_all = memo.get(&self.volume_key(&scene.ego, &cache, &all_idx, &cfg));
-            let hit_empty = memo.get(&self.volume_key(&scene.ego, &cache, &[], &cfg));
-            let hit_without: Option<Vec<f64>> = reachable
-                .iter()
-                .map(|&skip| {
-                    let reduced: Vec<usize> =
-                        all_idx.iter().copied().filter(|&j| j != skip).collect();
-                    memo.get(&self.volume_key(&scene.ego, &cache, &reduced, &cfg))
-                })
-                .collect();
-            if let (Some(v_all), Some(v_empty), Some(slots)) = (hit_all, hit_empty, hit_without) {
-                return assemble_sti(scene, v_all, v_empty, &slot_of_actor, &slots);
-            }
-        }
+        let all_idx: Vec<usize> = (0..obstacles.len()).collect();
 
         // One traced factual build; every other tube derives from it,
         // bit-identical to the rebuild it replaces.
         let (ftube, blame) = compute_reach_tube_traced(map, scene.ego, &cache, &all_idx, &cfg);
         let v_all = ftube.volume();
-        if let Some(memo) = &self.tube_memo {
-            memo.insert(self.volume_key(&scene.ego, &cache, &all_idx, &cfg), v_all);
-        }
 
-        // Job 0 derives the empty tube; every later job patches one actor
-        // out of the traced tube.
-        let mut jobs: Vec<Option<usize>> = Vec::with_capacity(reachable.len() + 1);
-        jobs.push(None);
-        jobs.extend(reachable.iter().map(|&i| Some(i)));
+        // Job 0 derives the empty tube; every later job patches one blamed
+        // actor out of the traced tube. Every other actor blocked nothing,
+        // so its counterfactual is the factual tube.
+        let blamed = blame
+            .active()
+            .iter()
+            .map(|&i| i as usize)
+            .filter(|&i| !blame.is_unblamed(i));
+        let jobs: Vec<Option<usize>> = std::iter::once(None).chain(blamed.map(Some)).collect();
         let volumes = self.run_jobs(&jobs, |job| match *job {
-            None => self.memoized(
-                || self.volume_key(&scene.ego, &cache, &[], &cfg),
-                || derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume(),
-            ),
-            Some(skip) => self.memoized(
-                || {
-                    let reduced: Vec<usize> =
-                        all_idx.iter().copied().filter(|&j| j != skip).collect();
-                    self.volume_key(&scene.ego, &cache, &reduced, &cfg)
-                },
-                || patch_counterfactual(map, &ftube, &blame, &cache, skip, &cfg).volume(),
-            ),
+            None => derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume(),
+            Some(skip) => patch_counterfactual(map, &ftube, &blame, &cache, skip, &cfg).volume(),
         });
-        let v_empty = volumes[0];
-        assemble_sti(scene, v_all, v_empty, &slot_of_actor, &volumes[1..])
+        let mut v_without = vec![v_all; obstacles.len()];
+        for (job, &volume) in jobs.iter().zip(&volumes) {
+            if let Some(slot) = job.and_then(|i| v_without.get_mut(i)) {
+                *slot = volume;
+            }
+        }
+        assemble_sti(scene, v_all, volumes[0], &v_without)
     }
 
     /// Cheap evaluation of only `STI^(combined)` (Eq. 5) — what the SMC
@@ -235,9 +201,10 @@ impl StiEvaluator {
     /// thread.
     ///
     /// With a tube memo attached, a cached volume is not recomputed: when
-    /// only `|T|` is cached, `T^∅` is built directly, and vice versa. The
-    /// result is bit-identical to `evaluate(..).combined` and to two
-    /// independent builds, whatever the memo holds.
+    /// only `|T^∅|` is cached, `T` is built directly. When `|T^∅|` is
+    /// missing, both volumes come from the traced build and its
+    /// derivation. The result is bit-identical to `evaluate(..).combined`
+    /// and to two independent builds, whatever the memo holds.
     // iprism: hot-path(deterministic)
     pub fn evaluate_combined(&self, map: &RoadMap, scene: &SceneSnapshot) -> f64 {
         let cfg = self.scene_config(scene);
@@ -248,19 +215,19 @@ impl StiEvaluator {
         // The memo and the keys of `[|T|, |T^∅|]`, hashed once.
         let memo = self.tube_memo.as_deref().map(|memo| {
             let keys = [
-                self.volume_key(&ego, &cache, &all_idx, &cfg),
-                self.volume_key(&ego, &cache, &[], &cfg),
+                volume_key(&ego, &cache, &all_idx, &cfg),
+                volume_key(&ego, &cache, &[], &cfg),
             ];
             (memo, keys)
         });
         let hits = memo.map_or([None, None], |(memo, keys)| keys.map(|key| memo.get(&key)));
-        let build =
-            |active: &[usize]| compute_reach_tube_cached(map, ego, &cache, active, &cfg).volume();
         let volumes = match hits {
             [Some(v_all), Some(v_empty)] => [v_all, v_empty],
-            [Some(v_all), None] => [v_all, build(&[])],
-            [None, Some(v_empty)] => [build(&all_idx), v_empty],
-            [None, None] => {
+            [None, Some(v_empty)] => [
+                compute_reach_tube_cached(map, ego, &cache, &all_idx, &cfg).volume(),
+                v_empty,
+            ],
+            [_, None] => {
                 let (ftube, blame) = compute_reach_tube_traced(map, ego, &cache, &all_idx, &cfg);
                 let v_empty = derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume();
                 [ftube.volume(), v_empty]
@@ -277,32 +244,6 @@ impl StiEvaluator {
         let sti = sti_ratio(v_empty - v_all, v_empty);
         iprism_contracts::check_sti("StiEvaluator::evaluate_combined", sti);
         sti
-    }
-
-    /// The memo key of the tube over `active` at this ego state.
-    fn volume_key(
-        &self,
-        ego: &VehicleState,
-        cache: &SliceCache,
-        active: &[usize],
-        cfg: &ReachConfig,
-    ) -> MemoKey {
-        memo_key(
-            ego,
-            cfg,
-            cache.fingerprint(active),
-            subset_fingerprint(active),
-        )
-    }
-
-    /// `compute()`, through the tube memo under `key()` when one is
-    /// attached. Derived tubes are bit-identical to rebuilds, so cached
-    /// values are interchangeable between the paths.
-    fn memoized(&self, key: impl FnOnce() -> MemoKey, compute: impl FnOnce() -> f64) -> f64 {
-        match &self.tube_memo {
-            Some(memo) => memo.get_or_compute(key(), compute),
-            None => compute(),
-        }
     }
 
     /// Runs the tube jobs — serially, or fanned out over a rayon pool —
@@ -326,30 +267,24 @@ impl StiEvaluator {
     }
 }
 
-/// Builds the [`Sti`] result from the three volume kinds.
-///
-/// `slot_of_actor[i]` maps scene actor `i` to its index in
-/// `v_without_slots` (one entry per *reachable* actor, in scan order);
-/// unreachable actors reuse `v_all`, making their STI exactly 0. Both the
-/// memo probe path and the build path funnel through here, so the contract
-/// checks run identically in either.
-fn assemble_sti(
-    scene: &SceneSnapshot,
-    v_all: f64,
-    v_empty: f64,
-    slot_of_actor: &[Option<usize>],
-    v_without_slots: &[f64],
-) -> Sti {
+/// The memo key of the tube over `active` at this ego state.
+fn volume_key(
+    ego: &VehicleState,
+    cache: &SliceCache,
+    active: &[usize],
+    cfg: &ReachConfig,
+) -> MemoKey {
+    memo_key(ego, cfg, cache.fingerprint(active))
+}
+
+/// Builds the [`Sti`] result from `|T|`, `|T^∅|` and `v_without[i] =
+/// |T^{/i}|` for every scene actor `i`.
+fn assemble_sti(scene: &SceneSnapshot, v_all: f64, v_empty: f64, v_without: &[f64]) -> Sti {
     let per_actor: Vec<(ActorId, f64)> = scene
         .actors
         .iter()
-        .enumerate()
-        .map(|(i, a)| {
-            let v_without = slot_of_actor
-                .get(i)
-                .copied()
-                .flatten()
-                .map_or(v_all, |s| v_without_slots[s]);
+        .zip(v_without)
+        .map(|(a, &v_without)| {
             iprism_contracts::check_tube_monotone(
                 "StiEvaluator::evaluate",
                 v_all,
@@ -498,7 +433,7 @@ mod tests {
             .with_actor(parked(1, 112.0, 5.25))
             .with_actor(parked(2, 112.0, 8.75))
             .with_actor(parked(3, 120.0, 1.75))
-            .with_actor(parked(4, 500.0, 5.25)); // unreachable: skipped tube
+            .with_actor(parked(4, 500.0, 5.25)); // never blamed: no patch
         let serial = StiEvaluator::default().with_threads(1);
         let reference = serial.evaluate(&map3(), &scene);
         for threads in [2, 4, 8] {
@@ -520,25 +455,24 @@ mod tests {
         let scene = SceneSnapshot::new(0.0, ego(), (4.6, 2.0)).with_actor(parked(1, 114.0, 5.25));
 
         let direct = plain.evaluate(&map3(), &scene);
-        let first = memoized.evaluate(&map3(), &scene);
-        // Two distinct volumes get cached: the factual tube, and the empty
-        // tube (whose key the single actor's counterfactual tube shares —
-        // both have an empty active set).
+        // The full evaluation neither reads nor writes the memo.
+        assert_eq!(memoized.evaluate(&map3(), &scene), direct);
+        assert!(memo.is_empty(), "evaluate must not touch the memo");
+        // The combined STI caches its two volumes: the factual tube and
+        // the empty tube.
+        let first = memoized.evaluate_combined(&map3(), &scene);
         assert_eq!(memo.len(), 2);
-        let second = memoized.evaluate(&map3(), &scene);
+        let second = memoized.evaluate_combined(&map3(), &scene);
         assert_eq!(memo.len(), 2, "repeat query must hit the cache");
-        assert_eq!(direct, first);
-        assert_eq!(first, second);
-        assert!(
-            (memoized.evaluate_combined(&map3(), &scene) - direct.combined).abs() < 1e-12,
-            "combined fast path must agree through the memo"
-        );
+        assert_eq!(first, direct.combined);
+        assert_eq!(second, direct.combined);
     }
 
     #[test]
     fn combined_is_identical_for_every_memo_state() {
         // Cold, and with exactly one of `|T|`, `|T^∅|` cached: the combined
         // STI is the same bits, and both volumes are cached afterwards.
+        // (With only `|T|` cached, both volumes are recomputed.)
         let map = map3();
         let scene = SceneSnapshot::new(0.0, ego(), (4.6, 2.0))
             .with_actor(parked(1, 114.0, 5.25))
@@ -552,7 +486,7 @@ mod tests {
         let all = [0, 1];
         let cached = |active: &[usize]| {
             let volume = compute_reach_tube_cached(&map, scene.ego, &cache, active, &cfg).volume();
-            (plain.volume_key(&scene.ego, &cache, active, &cfg), volume)
+            (volume_key(&scene.ego, &cache, active, &cfg), volume)
         };
         for (label, seeded) in [
             ("cold", vec![]),
@@ -572,28 +506,6 @@ mod tests {
                 "{label}, warm"
             );
         }
-    }
-
-    #[test]
-    fn memo_does_not_alias_counterfactuals_of_identical_actors() {
-        // Near-collision aliasing case: two actors on bit-identical poses
-        // have bit-identical interpolated footprints, so "all minus actor 1"
-        // and "all minus actor 2" share an obstacle-footprint fingerprint.
-        // Without the subset component in the memo key, their counterfactual
-        // volumes would collapse into one entry; with it, each subset keys
-        // its own.
-        let memo = std::sync::Arc::new(crate::TubeMemo::new());
-        let scene = SceneSnapshot::new(0.0, ego(), (4.6, 2.0))
-            .with_actor(parked(1, 112.0, 5.25))
-            .with_actor(parked(2, 112.0, 5.25));
-        let direct = StiEvaluator::default().evaluate(&map3(), &scene);
-        let memoized = StiEvaluator::default().with_tube_memo(memo.clone());
-        assert_eq!(memoized.evaluate(&map3(), &scene), direct);
-        // Factual, empty, and one entry per counterfactual subset.
-        assert_eq!(memo.len(), 4, "counterfactual subsets must not alias");
-        // The warm probe path reproduces the result exactly.
-        assert_eq!(memoized.evaluate(&map3(), &scene), direct);
-        assert_eq!(memo.len(), 4);
     }
 
     #[test]

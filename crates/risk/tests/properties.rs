@@ -4,10 +4,12 @@
 //! * Reach-tube volumes are monotone in the obstacle set:
 //!   `|T| ≤ |T^{/i}| ≤ |T^∅|` up to the documented ε-dedup tolerance
 //!   (`iprism_contracts::TUBE_MONOTONE_REL_TOL` / `_ABS_TOL`).
+//! * `StiEvaluator::evaluate` reproduces the naive reference, which builds
+//!   every one of the `N + 2` tubes from scratch, bit for bit.
 //!
 //! These run the full reach-tube pipeline on randomized scenes, so the
-//! `validate`-feature contract checks inside `StiEvaluator::evaluate` are
-//! exercised on every case as well.
+//! contract checks inside `StiEvaluator::evaluate`, active in debug
+//! builds, are exercised on every case as well.
 
 use iprism_dynamics::{Trajectory, VehicleState};
 use iprism_map::RoadMap;
@@ -81,6 +83,7 @@ proptest! {
         let v_empty = compute_reach_tube(&map, snapshot.ego, &[], &cfg).volume();
         let tol = |v: f64| v * (1.0 + iprism_contracts::TUBE_MONOTONE_REL_TOL)
             + iprism_contracts::TUBE_MONOTONE_ABS_TOL;
+        let mut naive_sti = Vec::with_capacity(snapshot.actors.len());
         for actor in &snapshot.actors {
             let v_without = compute_reach_tube(
                 &map,
@@ -98,6 +101,21 @@ proptest! {
                 v_without <= tol(v_empty),
                 "counterfactual exceeds empty world: |T^/i|={v_without} vs |T^∅|={v_empty}"
             );
+            let sti = if v_empty <= 0.0 {
+                0.0
+            } else {
+                ((v_without - v_all) / v_empty).clamp(0.0, 1.0)
+            };
+            naive_sti.push((actor.id, sti.to_bits()));
         }
+
+        // The evaluator derives `T^∅` and patches only the actors its
+        // traced build blamed; the naive tubes above pin all of it.
+        let sti = StiEvaluator::new(ReachConfig::fast()).evaluate(&map, &snapshot);
+        prop_assert_eq!(sti.volume_all.to_bits(), v_all.to_bits());
+        prop_assert_eq!(sti.volume_empty.to_bits(), v_empty.to_bits());
+        let per_actor: Vec<(ActorId, u64)> =
+            sti.per_actor.iter().map(|&(id, v)| (id, v.to_bits())).collect();
+        prop_assert_eq!(per_actor, naive_sti);
     }
 }
