@@ -9,11 +9,12 @@
 
 use iprism_agents::{LbcAgent, MitigationPolicy};
 use iprism_bench::{time_ms, CommonArgs};
-use iprism_core::{train_smc, SmcTrainConfig, FEATURE_DIM};
+use iprism_core::{train_smc, EnvConfig, SmcTrainConfig, FEATURE_DIM};
 use iprism_dynamics::{ControlInput, Trajectory, VehicleState};
 use iprism_map::RoadMap;
 use iprism_reach::{compute_reach_tube, Obstacle, ReachConfig, SamplingMode};
 use iprism_risk::{SceneActor, SceneSnapshot, StiEvaluator};
+use iprism_rl::{DdqnAgent, Transition};
 use iprism_scenarios::{sample_instances, Typology};
 use iprism_sim::{Actor, ActorId, Behavior, Episode, EpisodeConfig, Goal, World};
 use iprism_units::{Meters, Seconds};
@@ -79,6 +80,35 @@ fn main() {
     let features = vec![0.1; FEATURE_DIM];
     let (_, ms) = time_ms(100_000, || smc.agent().q_values(&features));
     rows.push(("Q-network forward", ms));
+
+    // One step of SMC training past `learn_start`: `observe` stores the
+    // transition and runs one minibatch update (`learn_batch`) on the
+    // training network (19 features → 64 → 64 → 3 actions, batch 32).
+    let ddqn = SmcTrainConfig::default().ddqn;
+    let learn_start = ddqn.learn_start;
+    let actions = EnvConfig::default().actions.len();
+    let mut agent = DdqnAgent::new(FEATURE_DIM, actions, ddqn);
+    let mut step = 0;
+    let mut observe = || {
+        let state = |k: usize| -> Vec<f64> {
+            (0..FEATURE_DIM)
+                .map(|j| ((k * 7 + j) % 13) as f64 / 13.0)
+                .collect()
+        };
+        agent.observe(Transition {
+            state: state(step),
+            action: step % actions,
+            reward: 0.1,
+            next_state: state(step + 1),
+            done: step % 50 == 49,
+        });
+        step += 1;
+    };
+    for _ in 0..learn_start {
+        observe();
+    }
+    let (_, ms) = time_ms(1_000, &mut observe);
+    rows.push(("D-DQN update (observe + learn_batch)", ms));
 
     // One episode's worth of untraced engine steps on a ghost cut-in.
     let spec = sample_instances(Typology::GhostCutIn, 1, args.config.seed).remove(0);

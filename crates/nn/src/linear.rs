@@ -85,42 +85,28 @@ impl Linear {
         y
     }
 
-    /// Batched forward pass over a contiguous row-major batch.
-    ///
-    /// Convenience wrapper around [`Linear::forward_batch_scratch`] that
-    /// allocates the transposed-weight scratch per call; training loops
-    /// should hold the scratch (e.g. via `BatchCache` in `Mlp`) and call
-    /// the scratch variant directly.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `xs.len()` is not a multiple of `in_dim`.
-    pub fn forward_batch(&self, xs: &[f64], ys: &mut Vec<f64>) {
-        let mut wt = Vec::new();
-        self.forward_batch_scratch(xs, ys, &mut wt);
-    }
-
-    /// Batched forward pass with a caller-held transposed-weight scratch.
+    /// Batched forward pass with a caller-held weight-panel scratch.
     ///
     /// `xs` holds `n` samples of `in_dim` values each (`xs[s * in_dim + i]`
     /// is input `i` of sample `s`); `ys` is cleared and filled with the
-    /// matching `[n × out_dim]` layout. The kernel first transposes `w` into
-    /// `wt` (`wt[i * out_dim + o] = w[o * in_dim + i]`) and then accumulates
-    /// input-outer: for each sample, `y[o] += wt[i,o] · x[i]` sweeps every
-    /// output `o` contiguously for one input `i` at a time. Each output
-    /// accumulator therefore receives its `w[o,i]·x[i]` terms in the same
-    /// `i`-ascending order as the per-sample dot product in
-    /// [`Linear::forward`], and the final `b[o] + acc` add matches too —
-    /// only *independent* accumulators are interleaved, never one reduction
-    /// reordered — so the result is **bit-identical** to `n` per-sample
-    /// calls. Unlike a dot-product inner loop (a single latency-bound
-    /// reduction chain), the contiguous output sweep auto-vectorizes.
+    /// matching `[n × out_dim]` layout. Each full block of `LANES` outputs
+    /// is first packed into `panels` as a panel of `in_dim` rows (row `i`
+    /// holds `w[o, i]` for the block's outputs `o`), and each block of
+    /// `ROWS` samples then runs as a register tile against each panel: for
+    /// every input `i` in ascending order, `acc[s, o] += x[s, i] · w[o, i]`,
+    /// and finally `y[s, o] = b[o] + acc[s, o]`. Outputs outside a full
+    /// block (all of a layer narrower than `LANES`, such as the Q-network's
+    /// action head) and the last `n % ROWS` samples take the same sum as a
+    /// plain dot product. Either way each output accumulates exactly the
+    /// terms of [`Linear::forward`]'s dot product, in its order and from
+    /// the same `0.0`, so the result is **bit-identical** to `n` per-sample
+    /// calls; the tile only interleaves independent accumulators.
     ///
     /// # Panics
     ///
     /// Panics when `xs.len()` is not a multiple of `in_dim`.
     // iprism: hot-path(no-panic, no-alloc, deterministic)
-    pub fn forward_batch_scratch(&self, xs: &[f64], ys: &mut Vec<f64>, wt: &mut Vec<f64>) {
+    pub fn forward_batch_scratch(&self, xs: &[f64], ys: &mut Vec<f64>, panels: &mut Vec<f64>) {
         // The one deliberate panic: rejecting a ragged batch up front keeps
         // every chunking step below exact.
         // iprism-lint: allow(hot-path-panic)
@@ -128,38 +114,64 @@ impl Linear {
             xs.len().is_multiple_of(self.in_dim),
             "batch input size mismatch"
         );
-        let n = xs.len() / self.in_dim;
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        let n = xs.len() / in_dim;
+        let tiled_outputs = out_dim - out_dim % LANES;
         ys.clear();
         // Both resizes reuse steady-state capacity: after the first
         // minibatch the buffers are already large enough and `resize` only
         // rewrites length + contents.
         // iprism-lint: allow(hot-path-alloc)
-        ys.resize(n * self.out_dim, 0.0);
-        wt.clear();
+        ys.resize(n * out_dim, 0.0);
+        panels.clear();
         // iprism-lint: allow(hot-path-alloc)
-        wt.resize(self.w.len(), 0.0);
-        // Transpose via a strided column iterator: `wt[i, o] = w[o, i]`.
-        // Pure assignment to distinct cells, so sweeping `i` outer instead
-        // of `o` outer changes nothing observable.
-        for (i, wrow) in wt.chunks_exact_mut(self.out_dim).enumerate() {
-            let col = self.w.iter().skip(i).step_by(self.in_dim);
-            for (dst, &src) in wrow.iter_mut().zip(col) {
-                *dst = src;
-            }
-        }
-        for (x, y) in xs
-            .chunks_exact(self.in_dim)
-            .zip(ys.chunks_exact_mut(self.out_dim))
+        panels.resize(tiled_outputs * in_dim, 0.0);
+        for (panel, w_block) in panels
+            .as_chunks_mut::<LANES>()
+            .0
+            .chunks_exact_mut(in_dim)
+            .zip(self.w.chunks_exact(LANES * in_dim))
         {
-            for (&xi, wrow) in x.iter().zip(wt.chunks_exact(self.out_dim)) {
-                for (yo, &wo) in y.iter_mut().zip(wrow) {
-                    *yo += wo * xi;
+            for (i, lanes) in panel.iter_mut().enumerate() {
+                let column = w_block.iter().skip(i).step_by(in_dim);
+                for (lane, &w) in lanes.iter_mut().zip(column) {
+                    *lane = w;
                 }
             }
-            // IEEE addition commutes bitwise, so `acc + b[o]` equals the
-            // per-sample path's `b[o] + acc` exactly.
-            for (yo, &bo) in y.iter_mut().zip(&self.b) {
-                *yo += bo;
+        }
+        let panels = panels.as_chunks::<LANES>().0.chunks_exact(in_dim);
+        let biases = self.b.as_chunks::<LANES>().0;
+        for (x_block, y_block) in xs
+            .chunks_exact(ROWS * in_dim)
+            .zip(ys.chunks_exact_mut(ROWS * out_dim))
+        {
+            for (p, (panel, bias)) in panels.clone().zip(biases).enumerate() {
+                let acc = tile(
+                    [[0.0; LANES]; ROWS],
+                    lockstep(panel.iter(), x_block, in_dim),
+                );
+                for (y_row, acc_row) in y_block.chunks_exact_mut(out_dim).zip(&acc) {
+                    let y_lanes = y_row.iter_mut().skip(p * LANES);
+                    for (y, (&a, &b)) in y_lanes.zip(acc_row.iter().zip(bias)) {
+                        *y = b + a;
+                    }
+                }
+            }
+        }
+        let tiled_samples = n - n % ROWS;
+        for (s, (x, y)) in xs
+            .chunks_exact(in_dim)
+            .zip(ys.chunks_exact_mut(out_dim))
+            .enumerate()
+        {
+            let first = if s < tiled_samples { tiled_outputs } else { 0 };
+            let rows = y.iter_mut().zip(self.w.chunks_exact(in_dim)).zip(&self.b);
+            for ((y, w_row), &b) in rows.skip(first) {
+                let mut acc = 0.0;
+                for (&w, &x) in w_row.iter().zip(x) {
+                    acc += w * x;
+                }
+                *y = b + acc;
             }
         }
     }
@@ -168,13 +180,14 @@ impl Linear {
     /// batch and writes `∂L/∂xs` (same `[n × in_dim]` layout as `xs`) into
     /// `dxs`.
     ///
-    /// The loop nest is weight-row-major (`o` outer, samples inner) so each
-    /// `w`/`grad_w` row stays hot across the batch, yet every individual
-    /// accumulator — `grad_b[o]`, `grad_w[o,i]`, `dx[s,i]` — receives its
-    /// contributions in exactly the order the per-sample [`Linear::backward`]
-    /// produces them (samples ascending, `o` ascending per sample), so the
-    /// accumulated gradients are **bit-identical** to `n` sequential
-    /// per-sample calls.
+    /// Every accumulator receives exactly the terms the per-sample
+    /// [`Linear::backward`] gives it, in its order: `grad_b[o]` and
+    /// `grad_w[o, i]` add `g[s, o]` and `g[s, o] · x[s, i]` for ascending
+    /// samples `s` to their current values, and `dx[s, i]` sums
+    /// `g[s, o] · w[o, i]` over ascending outputs `o` from `0.0`. Zero
+    /// entries of `dys` contribute their terms too, so `0 · ∞` still yields
+    /// NaN. The accumulated gradients are therefore **bit-identical** to
+    /// `n` sequential per-sample calls.
     ///
     /// # Panics
     ///
@@ -186,28 +199,93 @@ impl Linear {
         );
         let n = xs.len() / self.in_dim;
         assert_eq!(dys.len(), n * self.out_dim, "batch grad size mismatch");
+        for g_row in dys.chunks_exact(self.out_dim) {
+            for (gb, &g) in self.grad_b.iter_mut().zip(g_row) {
+                *gb += g;
+            }
+        }
+        self.accumulate_grad_w(xs, dys);
         dxs.clear();
         // Steady-state capacity: the caller-held scratch grows once.
         // iprism-lint: allow(hot-path-alloc)
         dxs.resize(n * self.in_dim, 0.0);
-        for o in 0..self.out_dim {
-            let row_start = o * self.in_dim;
-            for s in 0..n {
-                let g = dys[s * self.out_dim + o];
-                self.grad_b[o] += g;
-                let x = &xs[s * self.in_dim..(s + 1) * self.in_dim];
-                let dx = &mut dxs[s * self.in_dim..(s + 1) * self.in_dim];
-                // Two independent axpy sweeps (grad_w row and dx row); split
-                // so each vectorizes cleanly. Per-accumulator order is
-                // unchanged — each element still gets one contribution per
-                // (o, s) in the same sequence as the fused loop.
-                let gw = &mut self.grad_w[row_start..row_start + self.in_dim];
-                for (gwi, &xi) in gw.iter_mut().zip(x) {
-                    *gwi += g * xi;
+        self.input_grads(dys, dxs);
+    }
+
+    /// `grad_w[o, i] += g[s, o] · x[s, i]` for ascending `s`: register tiles
+    /// of `ROWS` outputs × `LANES` inputs, with each tiled row's last
+    /// `in_dim % LANES` inputs summed one accumulator at a time and the rows
+    /// below the last full tile (all of the action head's) swept once per
+    /// sample.
+    fn accumulate_grad_w(&mut self, xs: &[f64], dys: &[f64]) {
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        let tiled_inputs = in_dim - in_dim % LANES;
+        let tiled_outputs = out_dim - out_dim % ROWS;
+        let samples = || dys.chunks_exact(out_dim).zip(xs.chunks_exact(in_dim));
+        for (ob, gw_block) in self.grad_w.chunks_exact_mut(ROWS * in_dim).enumerate() {
+            for ib in 0..tiled_inputs / LANES {
+                let mut acc = [[0.0; LANES]; ROWS];
+                for (acc_row, gw_row) in acc.iter_mut().zip(gw_block.chunks_exact(in_dim)) {
+                    *acc_row = gw_row.as_chunks::<LANES>().0[ib];
                 }
-                let w = &self.w[row_start..row_start + self.in_dim];
-                for (dxi, &wi) in dx.iter_mut().zip(w) {
-                    *dxi += g * wi;
+                let steps = samples()
+                    .map(|(g, x)| (g.as_chunks::<ROWS>().0[ob], &x.as_chunks::<LANES>().0[ib]));
+                for (gw_row, acc_row) in gw_block.chunks_exact_mut(in_dim).zip(tile(acc, steps)) {
+                    gw_row.as_chunks_mut::<LANES>().0[ib] = acc_row;
+                }
+            }
+        }
+        for (o, gw_row) in self.grad_w.chunks_exact_mut(in_dim).enumerate() {
+            if o < tiled_outputs {
+                for (i, gw) in gw_row.iter_mut().enumerate().skip(tiled_inputs) {
+                    for (g_row, x_row) in samples() {
+                        *gw += g_row[o] * x_row[i];
+                    }
+                }
+            } else {
+                for (g_row, x_row) in samples() {
+                    let g = g_row[o];
+                    for (gw, &x) in gw_row.iter_mut().zip(x_row) {
+                        *gw += g * x;
+                    }
+                }
+            }
+        }
+    }
+
+    /// `dx[s, i] = Σ_o g[s, o] · w[o, i]` over ascending `o`, onto the
+    /// zeroed `dxs`: register tiles of `ROWS` samples × `LANES` inputs, and
+    /// one accumulator at a time for the last `in_dim % LANES` inputs and
+    /// the last `n % ROWS` samples.
+    fn input_grads(&self, dys: &[f64], dxs: &mut [f64]) {
+        let (in_dim, out_dim) = (self.in_dim, self.out_dim);
+        let tiled_inputs = in_dim - in_dim % LANES;
+        for (g_block, dx_block) in dys
+            .chunks_exact(ROWS * out_dim)
+            .zip(dxs.chunks_exact_mut(ROWS * in_dim))
+        {
+            for ib in 0..tiled_inputs / LANES {
+                let w_lanes = self
+                    .w
+                    .chunks_exact(in_dim)
+                    .map(|w_row| &w_row.as_chunks::<LANES>().0[ib]);
+                let acc = tile([[0.0; LANES]; ROWS], lockstep(w_lanes, g_block, out_dim));
+                for (dx_row, acc_row) in dx_block.chunks_exact_mut(in_dim).zip(acc) {
+                    dx_row.as_chunks_mut::<LANES>().0[ib] = acc_row;
+                }
+            }
+        }
+        let n = dys.len() / out_dim;
+        let tiled_samples = n - n % ROWS;
+        for (s, (g_row, dx_row)) in dys
+            .chunks_exact(out_dim)
+            .zip(dxs.chunks_exact_mut(in_dim))
+            .enumerate()
+        {
+            let first = if s < tiled_samples { tiled_inputs } else { 0 };
+            for (i, dx) in dx_row.iter_mut().enumerate().skip(first) {
+                for (&g, w_row) in g_row.iter().zip(self.w.chunks_exact(in_dim)) {
+                    *dx += g * w_row[i];
                 }
             }
         }
@@ -272,6 +350,57 @@ impl Linear {
         f(&mut self.w, &self.grad_w);
         f(&mut self.b, &self.grad_b);
     }
+}
+
+/// Register-tile height: samples per tile in the forward pass and in
+/// `∂L/∂x`, outputs per tile in `∂L/∂W`.
+const ROWS: usize = 4;
+
+/// Register-tile width: outputs per tile in the forward pass, inputs per
+/// tile in `∂L/∂x` and `∂L/∂W`. With `ROWS` this makes 64 accumulators,
+/// which fit the vector registers of AVX2 and AVX-512 hosts.
+const LANES: usize = 16;
+
+/// One register tile: accumulator `[r][k]` starts from `init[r][k]` and
+/// adds `a[r] · v[k]` for each step `(a, v)` in order. Each accumulator
+/// thus sums its terms in step order; the tile only interleaves independent
+/// accumulators. (IEEE-754 multiplication is commutative, so the operand
+/// order of a product does not matter.) The rows are spelled out so that
+/// the compiler vectorizes across the lanes and keeps all 64 accumulators
+/// in registers; written as a loop over the rows, the tile was vectorized
+/// across the rows instead and kept in memory, several times slower.
+fn tile<'a>(
+    init: [[f64; LANES]; ROWS],
+    steps: impl Iterator<Item = ([f64; ROWS], &'a [f64; LANES])>,
+) -> [[f64; LANES]; ROWS] {
+    let [mut c0, mut c1, mut c2, mut c3] = init;
+    for ([a0, a1, a2, a3], v) in steps {
+        let lanes = c0.iter_mut().zip(&mut c1).zip(&mut c2).zip(&mut c3);
+        for ((((c0, c1), c2), c3), &v) in lanes.zip(v) {
+            *c0 += a0 * v;
+            *c1 += a1 * v;
+            *c2 += a2 * v;
+            *c3 += a3 * v;
+        }
+    }
+    [c0, c1, c2, c3]
+}
+
+/// Steps for [`tile`] that read the `ROWS` rows of the row-major
+/// `[ROWS × dim]` `block` in lockstep: step `j` pairs the rows' `j`-th
+/// values with the `j`-th item of `v`.
+fn lockstep<'a, I: Iterator>(
+    v: I,
+    block: &'a [f64],
+    dim: usize,
+) -> impl Iterator<Item = ([f64; ROWS], I::Item)> + use<'a, I> {
+    let mut rows = block.chunks_exact(dim);
+    let [r0, r1, r2, r3] = [(); ROWS].map(|()| rows.next().unwrap_or_default());
+    v.zip(r0)
+        .zip(r1)
+        .zip(r2)
+        .zip(r3)
+        .map(|((((v, &a0), &a1), &a2), &a3)| ([a0, a1, a2, a3], v))
 }
 
 #[cfg(test)]
@@ -380,13 +509,27 @@ mod tests {
             .collect()
     }
 
+    /// Layer shapes `(in_dim, out_dim, n)`: below, at and across the tile
+    /// sizes, and the production Q-network's three layers at batch 32.
+    const BATCH_SHAPES: [(usize, usize, usize); 8] = [
+        (3, 2, 1),
+        (5, 7, 4),
+        (8, 3, 33),
+        (2, 2, 65),
+        (17, 33, 7),
+        (19, 64, 32),
+        (64, 64, 32),
+        (64, 3, 32),
+    ];
+
     #[test]
     fn forward_batch_bit_identical_to_per_sample() {
-        for (in_dim, out_dim, n) in [(3, 2, 1), (5, 7, 4), (8, 3, 33), (2, 2, 65)] {
-            let l = Linear::new(in_dim, out_dim, 11);
+        for (in_dim, out_dim, n) in BATCH_SHAPES {
+            let mut l = Linear::new(in_dim, out_dim, 11);
+            l.b = batch_data(1, out_dim, 7);
             let xs = batch_data(n, in_dim, 3);
-            let mut ys = Vec::new();
-            l.forward_batch(&xs, &mut ys);
+            let (mut ys, mut panels) = (Vec::new(), Vec::new());
+            l.forward_batch_scratch(&xs, &mut ys, &mut panels);
             for s in 0..n {
                 let single = l.forward(&xs[s * in_dim..(s + 1) * in_dim]);
                 assert_eq!(
@@ -398,30 +541,31 @@ mod tests {
         }
     }
 
+    /// Two batches in a row, so the second accumulates onto non-zero
+    /// gradients as the per-sample path does.
     #[test]
     fn backward_batch_bit_identical_to_per_sample() {
-        for (in_dim, out_dim, n) in [(3, 2, 1), (5, 7, 4), (8, 3, 33)] {
-            let xs = batch_data(n, in_dim, 5);
-            let dys = batch_data(n, out_dim, 9);
-
+        for (in_dim, out_dim, n) in BATCH_SHAPES {
             let mut reference = Linear::new(in_dim, out_dim, 2);
+            let mut batched = reference.clone();
             reference.zero_grad();
-            let mut ref_dxs = Vec::new();
-            for s in 0..n {
-                ref_dxs.extend(reference.backward(
-                    &xs[s * in_dim..(s + 1) * in_dim],
-                    &dys[s * out_dim..(s + 1) * out_dim],
-                ));
-            }
-
-            let mut batched = Linear::new(in_dim, out_dim, 2);
             batched.zero_grad();
-            let mut dxs = Vec::new();
-            batched.backward_batch(&xs, &dys, &mut dxs);
-
-            assert_eq!(batched.grad_w, reference.grad_w);
-            assert_eq!(batched.grad_b, reference.grad_b);
-            assert_eq!(dxs, ref_dxs);
+            for salt in [5, 6] {
+                let xs = batch_data(n, in_dim, salt);
+                let dys = batch_data(n, out_dim, salt + 4);
+                let mut ref_dxs = Vec::new();
+                for s in 0..n {
+                    ref_dxs.extend(reference.backward(
+                        &xs[s * in_dim..(s + 1) * in_dim],
+                        &dys[s * out_dim..(s + 1) * out_dim],
+                    ));
+                }
+                let mut dxs = Vec::new();
+                batched.backward_batch(&xs, &dys, &mut dxs);
+                assert_eq!(batched.grad_w, reference.grad_w);
+                assert_eq!(batched.grad_b, reference.grad_b);
+                assert_eq!(dxs, ref_dxs);
+            }
         }
     }
 
@@ -429,7 +573,7 @@ mod tests {
     #[should_panic(expected = "batch input size mismatch")]
     fn forward_batch_ragged_input_panics() {
         let l = Linear::new(3, 1, 0);
-        let mut ys = Vec::new();
-        l.forward_batch(&[1.0, 2.0], &mut ys);
+        let (mut ys, mut panels) = (Vec::new(), Vec::new());
+        l.forward_batch_scratch(&[1.0, 2.0], &mut ys, &mut panels);
     }
 }

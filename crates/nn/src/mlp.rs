@@ -46,9 +46,9 @@ pub struct BatchCache {
     grad: Vec<f64>,
     /// Scratch buffer the layer-level backward kernel writes `∂L/∂x` into.
     grad_scratch: Vec<f64>,
-    /// Transposed-weight scratch for the layer forward kernel
+    /// Weight-panel scratch for the layer forward kernel
     /// ([`Linear::forward_batch_scratch`]), reused across layers and updates.
-    wt_scratch: Vec<f64>,
+    panel_scratch: Vec<f64>,
     /// Number of samples in the cached pass.
     batch: usize,
 }
@@ -183,8 +183,8 @@ impl Mlp {
     /// [`Mlp::backward_batch`].
     ///
     /// Bit-identical to calling [`Mlp::forward_cached`] once per sample: the
-    /// layer kernel ([`Linear::forward_batch`]) reduces each output element's
-    /// dot product in the same inner-loop order as the per-sample path, and
+    /// layer kernel ([`Linear::forward_batch_scratch`]) reduces each output
+    /// element's dot product in the same order as the per-sample path, and
     /// the ReLU is elementwise, so batching only changes the *schedule*, never
     /// any floating-point reduction.
     ///
@@ -210,7 +210,7 @@ impl Mlp {
             // (index i+1) can be borrowed simultaneously.
             let (head, tail) = cache.inputs.split_at_mut(i + 1);
             let out = &mut tail[0];
-            self.layers[i].forward_batch_scratch(&head[i], out, &mut cache.wt_scratch);
+            self.layers[i].forward_batch_scratch(&head[i], out, &mut cache.panel_scratch);
             if i + 1 < n_layers {
                 relu_inplace(out);
             }
@@ -506,6 +506,62 @@ mod tests {
         }
     }
 
+    /// A layer width or batch size for the bit-identity proptests: the
+    /// production Q-network's value (19→64→64→3 at batch 32) in a quarter
+    /// of the cases, otherwise uniform over `1..=max`, which straddles every
+    /// tile size of the batched kernels.
+    fn dim(production: usize, max: usize) -> impl Strategy<Value = usize> {
+        (0..4 * max).prop_map(move |k| if k < max { production } else { k % max + 1 })
+    }
+
+    /// The IEEE-754 values the kernels must carry through unchanged.
+    const SPECIALS: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+
+    /// `len` values cycled from `raw` (starting at `offset`), with each
+    /// `(position, kind)` in `specials` overwriting one value by a special.
+    fn data(raw: &[f64], len: usize, offset: usize, specials: &[(usize, usize)]) -> Vec<f64> {
+        let mut v: Vec<f64> = (0..len).map(|k| raw[(k + offset) % raw.len()]).collect();
+        for &(pos, kind) in specials {
+            v[pos % len] = SPECIALS[kind];
+        }
+        v
+    }
+
+    /// Gives every bias a value from `raw`; `Linear::new` starts them at 0.
+    fn set_biases(net: &mut Mlp, raw: &[f64]) {
+        for (k, b) in net.layers.iter_mut().flat_map(|l| &mut l.b).enumerate() {
+            *b = raw[(k * 7 + 3) % raw.len()];
+        }
+    }
+
+    /// Overwrites one parameter per `(position, kind)` by a special value.
+    fn inject_into_params(net: &mut Mlp, specials: &[(usize, usize)]) {
+        let count = net.param_count();
+        for &(pos, kind) in specials {
+            let mut j = 0;
+            net.visit_params(|p, _| {
+                if j == pos % count {
+                    *p = SPECIALS[kind];
+                }
+                j += 1;
+            });
+        }
+    }
+
+    /// Bit-for-bit equality, except that any two NaNs match: Rust leaves
+    /// the sign and payload of a NaN that arithmetic produces unspecified.
+    fn assert_same(got: &[f64], want: &[f64]) {
+        assert_eq!(got.len(), want.len(), "length");
+        for (k, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "element {k}: {g:?} ({:#x}) vs {w:?} ({:#x})",
+                g.to_bits(),
+                w.to_bits()
+            );
+        }
+    }
+
     proptest! {
         #[test]
         fn prop_forward_finite(
@@ -521,41 +577,60 @@ mod tests {
         /// *exactly* (bit-for-bit) N independent per-sample forwards.
         #[test]
         fn prop_batched_forward_equals_per_sample(
-            in_dim in 1usize..6,
-            hidden in 1usize..9,
-            out_dim in 1usize..5,
-            n in 1usize..9,
+            in_dim in dim(19, 70),
+            h1 in dim(64, 70),
+            h2 in dim(64, 70),
+            out_dim in dim(3, 70),
+            n in dim(32, 40),
             seed in 0u64..1000,
-            raw in proptest::collection::vec(-5.0..5.0f64, 8 * 5)
+            raw in proptest::collection::vec(-5.0..5.0f64, 211),
+            specials in proptest::collection::vec((0usize..100_000, 0usize..5), 0..6)
         ) {
-            let net = Mlp::new(&[in_dim, hidden, out_dim], seed);
-            let xs: Vec<f64> = (0..n * in_dim).map(|k| raw[k % raw.len()]).collect();
+            let mut net = Mlp::new(&[in_dim, h1, h2, out_dim], seed);
+            set_biases(&mut net, &raw);
+            inject_into_params(&mut net, &specials[specials.len() / 2..]);
+            let xs = data(&raw, n * in_dim, 0, &specials);
             let mut cache = BatchCache::new();
             net.forward_batch_cached(&xs, &mut cache);
             for s in 0..n {
                 let single = net.forward(&xs[s * in_dim..(s + 1) * in_dim]);
-                prop_assert_eq!(cache.output(s), single.as_slice());
+                assert_same(cache.output(s), &single);
             }
         }
 
         /// Over random shapes, the batched backward accumulates *exactly*
         /// the gradients of N per-sample backward calls, and produces the
-        /// same `∂L/∂input` rows.
+        /// same `∂L/∂input` rows. Half the cases feed one-hot gradient
+        /// rows, as the D-DQN update does, so zero terms meet infinities.
         #[test]
         fn prop_batched_backward_equals_per_sample(
-            in_dim in 1usize..6,
-            hidden in 1usize..9,
-            out_dim in 1usize..5,
-            n in 1usize..9,
+            in_dim in dim(19, 70),
+            h1 in dim(64, 70),
+            h2 in dim(64, 70),
+            out_dim in dim(3, 70),
+            n in dim(32, 40),
             seed in 0u64..1000,
-            raw in proptest::collection::vec(-5.0..5.0f64, 8 * 5)
+            raw in proptest::collection::vec(-5.0..5.0f64, 211),
+            specials in proptest::collection::vec((0usize..100_000, 0usize..5), 0..6),
+            one_hot in any::<bool>()
         ) {
-            let xs: Vec<f64> = (0..n * in_dim).map(|k| raw[k % raw.len()]).collect();
-            let dys: Vec<f64> = (0..n * out_dim)
-                .map(|k| raw[(k + 11) % raw.len()])
-                .collect();
+            let xs = data(&raw, n * in_dim, 0, &specials);
+            let mut dys = data(&raw, n * out_dim, 11, &specials[specials.len() / 2..]);
+            if one_hot {
+                for (s, row) in dys.chunks_exact_mut(out_dim).enumerate() {
+                    let action = (s * 5 + 1) % out_dim;
+                    for (o, d) in row.iter_mut().enumerate() {
+                        if o != action {
+                            *d = 0.0;
+                        }
+                    }
+                }
+            }
 
-            let mut reference = Mlp::new(&[in_dim, hidden, out_dim], seed);
+            let mut reference = Mlp::new(&[in_dim, h1, h2, out_dim], seed);
+            set_biases(&mut reference, &raw);
+            inject_into_params(&mut reference, &specials[..specials.len() / 2]);
+            let mut batched = reference.clone();
             reference.zero_grad();
             let mut ref_dx = Vec::new();
             for s in 0..n {
@@ -567,7 +642,6 @@ mod tests {
             let mut ref_grads = Vec::new();
             reference.visit_params(|_, g| ref_grads.push(g));
 
-            let mut batched = Mlp::new(&[in_dim, hidden, out_dim], seed);
             batched.zero_grad();
             let mut cache = BatchCache::new();
             batched.forward_batch_cached(&xs, &mut cache);
@@ -575,8 +649,8 @@ mod tests {
             let mut got_grads = Vec::new();
             batched.visit_params(|_, g| got_grads.push(g));
 
-            prop_assert_eq!(got_grads, ref_grads);
-            prop_assert_eq!(cache.input_grads(), ref_dx.as_slice());
+            assert_same(&got_grads, &ref_grads);
+            assert_same(cache.input_grads(), &ref_dx);
         }
     }
 }

@@ -530,6 +530,45 @@ mod tests {
         assert_eq!(run(false), run(true));
     }
 
+    /// The production Q-network (`DdqnConfig::default()` on the SMC's 19
+    /// features and 3 actions: 19 → 64 → 64 → 3 at batch 32) through 300
+    /// updates and two target syncs: the batched engine's weights match the
+    /// per-sample reference bit for bit.
+    #[test]
+    fn batched_engine_matches_reference_at_production_shape() {
+        let features = |step: u64| -> Vec<f64> {
+            (0..19u64)
+                .map(|k| {
+                    let h = (step * 19 + k).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                    (h >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+                })
+                .collect()
+        };
+        let run = |reference: bool| {
+            let cfg = DdqnConfig {
+                reference_engine: reference,
+                ..DdqnConfig::default()
+            };
+            let mut agent = DdqnAgent::new(19, 3, cfg);
+            let mut state = features(0);
+            for step in 0..500 {
+                let action = agent.act_epsilon(&state);
+                let next_state = features(step + 1);
+                agent.observe(Transition {
+                    state,
+                    action,
+                    reward: next_state[action] - 0.1 * action as f64,
+                    next_state: next_state.clone(),
+                    done: step % 37 == 36,
+                });
+                state = next_state;
+            }
+            assert_eq!(agent.steps(), 500);
+            serde_json::to_string(agent.network()).unwrap()
+        };
+        assert_eq!(run(false), run(true));
+    }
+
     #[test]
     fn target_sync_interval_respected() {
         // after exactly `target_sync_interval` observes, target == online
