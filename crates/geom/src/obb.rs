@@ -151,22 +151,41 @@ impl Obb {
     /// the four face normals; for rectangles those are the only candidate
     /// separating axes.
     pub fn intersects(&self, other: &Obb) -> bool {
+        self.intersects_given_trig(
+            self.pose.heading().sin_cos(),
+            other,
+            other.pose.heading().sin_cos(),
+        )
+    }
+
+    /// [`Obb::intersects`] with each box's heading sine and cosine supplied
+    /// by the caller: `trig` must equal `self.pose.heading().sin_cos()` and
+    /// `other_trig` `other.pose.heading().sin_cos()`. One pair per box
+    /// serves its corners and both of its axes, so hot paths that already
+    /// hold the pairs get the same verdict without a trig call.
+    pub fn intersects_given_trig(
+        &self,
+        trig: (f64, f64),
+        other: &Obb,
+        other_trig: (f64, f64),
+    ) -> bool {
         // Corners are computed once and reused for both the cheap AABB
         // rejection and the SAT projections (`aabb()` is defined as the
         // bounding box of these same corners, so the outcome is identical).
-        let ca = self.corners();
-        let cb = other.corners();
+        let ca = self.corners_given_trig(trig.0, trig.1);
+        let cb = other.corners_given_trig(other_trig.0, other_trig.1);
         if let (Some(abb), Some(bbb)) = (Aabb::from_points(&ca), Aabb::from_points(&cb)) {
             if !abb.intersects(&bbb) {
                 return false;
             }
         }
-        let axes = [
-            self.pose.forward(),
-            self.pose.left(),
-            other.pose.forward(),
-            other.pose.left(),
-        ];
+        // `Pose::forward` is `(cos θ, sin θ)` and `Pose::left` its
+        // perpendicular.
+        let (fa, fb) = (
+            Vec2::new(trig.1, trig.0),
+            Vec2::new(other_trig.1, other_trig.0),
+        );
+        let axes = [fa, fa.perp(), fb, fb.perp()];
         for axis in axes {
             let (amin, amax) = project(&ca, axis);
             let (bmin, bmax) = project(&cb, axis);
@@ -278,6 +297,18 @@ mod tests {
     }
 
     #[test]
+    fn gap_only_one_boxs_own_axis_sees() {
+        // The bounding boxes overlap and `a`'s axes see overlap; only `b`'s
+        // lateral axis separates them (by about 0.39 m). At π/4 sine and
+        // cosine coincide, so this pair also pins which is which.
+        let a = car_at(0.0, 0.0, 0.0);
+        let b = car_at(3.0, -2.2, 0.6);
+        assert!(a.aabb().intersects(&b.aabb()));
+        assert!(!a.intersects(&b));
+        assert!(!b.intersects(&a));
+    }
+
+    #[test]
     fn containment() {
         let o = car_at(5.0, 5.0, FRAC_PI_4);
         assert!(o.contains(o.center()));
@@ -305,6 +336,89 @@ mod tests {
         let _ = Obb::new(Pose::default(), Meters::new(-1.0), Meters::new(2.0));
     }
 
+    /// The separating-axis test as it took six `sin_cos` calls: corners
+    /// through [`Obb::corners`] and axes through `forward()`/`left()`.
+    fn intersects_reference(a: &Obb, b: &Obb) -> bool {
+        let ca = a.corners();
+        let cb = b.corners();
+        if let (Some(abb), Some(bbb)) = (Aabb::from_points(&ca), Aabb::from_points(&cb)) {
+            if !abb.intersects(&bbb) {
+                return false;
+            }
+        }
+        let axes = [
+            a.pose.forward(),
+            a.pose.left(),
+            b.pose.forward(),
+            b.pose.left(),
+        ];
+        axes.into_iter().all(|axis| {
+            let (amin, amax) = project(&ca, axis);
+            let (bmin, bmax) = project(&cb, axis);
+            !(amax < bmin - crate::EPSILON || bmax < amin - crate::EPSILON)
+        })
+    }
+
+    /// Headings at and one ulp either side of ±0, ±π/2 and ±π, or anywhere
+    /// in `[-3.2, 3.2]`.
+    fn heading_strategy() -> impl Strategy<Value = f64> {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let anchors = [0.0, -0.0, FRAC_PI_2, -FRAC_PI_2, PI, -PI];
+        (any::<bool>(), 0..anchors.len(), -1i64..=1, -3.2..3.2f64).prop_map(
+            move |(anchored, i, step, any_heading)| {
+                if !anchored {
+                    return any_heading;
+                }
+                // A bit step moves away from zero (+1) or towards it (-1);
+                // at ±0 only away, to the smallest subnormal of that sign.
+                let step = if anchors[i] == 0.0 { step.abs() } else { step };
+                f64::from_bits(anchors[i].to_bits().wrapping_add_signed(step))
+            },
+        )
+    }
+
+    /// Pairs of boxes: `b` within 8 m of `a` with its own heading (where
+    /// every axis can be the separating one), touching `a` along its
+    /// forward axis, nested inside `a`, or identical.
+    fn box_pair_strategy() -> impl Strategy<Value = (Obb, Obb)> {
+        let extents = (0.5..8.0f64, 0.5..4.0f64);
+        (
+            (
+                -30.0..30.0f64,
+                -30.0..30.0f64,
+                heading_strategy(),
+                extents.clone(),
+            ),
+            (-8.0..8.0f64, -8.0..8.0f64, heading_strategy(), extents),
+            0u8..6,
+            0.0..1.0f64,
+        )
+            .prop_map(
+                |((ax, ay, at, (al, aw)), (dx, dy, bt, (bl, bw)), kind, f)| {
+                    let make = |x, y, t, l, w| {
+                        Obb::new(
+                            Pose::new(x, y, Radians::raw(t)),
+                            Meters::new(l),
+                            Meters::new(w),
+                        )
+                    };
+                    let a = make(ax, ay, at, al, aw);
+                    let b = match kind {
+                        0..=2 => make(ax + dx, ay + dy, bt, bl, bw),
+                        3 => {
+                            // Nose to tail with `a`, same heading.
+                            let gap = 0.5 * (al + bl);
+                            let fwd = a.pose.forward();
+                            make(ax + gap * fwd.x, ay + gap * fwd.y, at, bl, bw)
+                        }
+                        4 => make(ax, ay, at, al * f, aw * f),
+                        _ => a,
+                    };
+                    (a, b)
+                },
+            )
+    }
+
     fn obb_strategy() -> impl Strategy<Value = Obb> {
         (-30.0..30.0, -30.0..30.0, -3.2..3.2, 0.5..8.0, 0.5..4.0).prop_map(|(x, y, t, l, w)| {
             Obb::new(
@@ -316,6 +430,18 @@ mod tests {
     }
 
     proptest! {
+        /// The test given each box's sine and cosine gives the verdict of
+        /// the six-`sin_cos` test, for nearby, touching, nested and
+        /// identical boxes with headings at and next to ±0, ±π/2 and ±π.
+        #[test]
+        fn prop_intersects_given_trig_matches_intersects((a, b) in box_pair_strategy()) {
+            let (ta, tb) = (a.pose.heading().sin_cos(), b.pose.heading().sin_cos());
+            let expect = intersects_reference(&a, &b);
+            prop_assert_eq!(a.intersects_given_trig(ta, &b, tb), expect);
+            prop_assert_eq!(a.intersects(&b), expect);
+            prop_assert_eq!(b.intersects_given_trig(tb, &a, ta), intersects_reference(&b, &a));
+        }
+
         #[test]
         fn prop_intersects_symmetric(a in obb_strategy(), b in obb_strategy()) {
             prop_assert_eq!(a.intersects(&b), b.intersects(&a));

@@ -152,7 +152,7 @@ pub(crate) fn expand(
             &ctx,
             &lanes,
             basis.as_deref(),
-            &tube.frontier,
+            (&tube.frontier, &tube.frontier_trigs),
             &mut tube.grid,
             &mut scratch,
         );
@@ -160,9 +160,13 @@ pub(crate) fn expand(
             blame.push_slice(&scratch, &out);
         }
         tube.truncated |= out.truncated;
+        tube.blocked |= out.mask != 0;
         tube.frontier.clear();
-        tube.frontier
-            .extend(scratch.table.entries.iter().take(out.frontier).map(|e| e.1));
+        tube.frontier_trigs.clear();
+        for &(_, state, trig) in scratch.table.entries.iter().take(out.frontier) {
+            tube.frontier.push(state);
+            tube.frontier_trigs.push(trig);
+        }
         check_states(&tube.frontier);
         tube.emit_frontier();
     }
@@ -216,8 +220,9 @@ pub(crate) struct Scratch {
     /// quanta, at most one per acceleration.
     speeds: Vec<(f64, u64)>,
     /// The current parent's passing successor headings with their dedup
-    /// quanta, at most one per steering value.
-    headings: Vec<(f64, u64)>,
+    /// quanta and their sine and cosine (or [`NO_TRIG`]), at most one per
+    /// steering value.
+    headings: Vec<(f64, u64, Trig)>,
     /// The slice's ε-dedup table.
     table: CellTable,
 }
@@ -240,7 +245,8 @@ impl Scratch {
             self.speeds.resize(axes.accels.len(), (0.0, 0));
         }
         if self.headings.len() < axes.steer_tans.len() {
-            self.headings.resize(axes.steer_tans.len(), (0.0, 0));
+            self.headings
+                .resize(axes.steer_tans.len(), (0.0, 0, NO_TRIG));
         }
         let table = &mut self.table;
         let slots = (candidates.max(1) * 2).next_power_of_two();
@@ -258,6 +264,24 @@ impl Scratch {
 /// A dedup cell key or a frontier rank key: two packed integer pairs.
 type Key = (u128, u128);
 
+/// A heading's sine and cosine, `θ.sin_cos()`.
+type Trig = (f64, f64);
+
+/// The pair of a heading whose sine and cosine no verdict computed. A
+/// finite heading's pair is never NaN, and a non-finite one's recomputes
+/// to the same bits, so [`known_trig`] is exact.
+const NO_TRIG: Trig = (f64::NAN, f64::NAN);
+
+/// `trig`, or `θ.sin_cos()` where `trig` is [`NO_TRIG`].
+#[inline]
+fn known_trig(trig: Trig, theta: f64) -> Trig {
+    if trig.0.is_nan() {
+        theta.sin_cos()
+    } else {
+        trig
+    }
+}
+
 /// The ε-dedup table of a slice: open-addressing slots of `(generation,
 /// entry index)` over the claimed cells. A slot is live iff its tag equals
 /// `generation`, so clearing between slices is O(1).
@@ -265,11 +289,11 @@ type Key = (u128, u128);
 struct CellTable {
     slots: Vec<(u32, u32)>,
     generation: u32,
-    /// `(key, representative)` of every dedup cell claimed this slice, in
-    /// first-claim order. The key is the cell key while the slice claims
-    /// cells and the rank key once it ranks them; the kernel leaves the new
-    /// frontier, ranked, at the head.
-    entries: Vec<(Key, VehicleState)>,
+    /// `(key, representative, its heading's pair or NO_TRIG)` of every
+    /// dedup cell claimed this slice, in first-claim order. The key is the
+    /// cell key while the slice claims cells and the rank key once it ranks
+    /// them; the kernel leaves the new frontier, ranked, at the head.
+    entries: Vec<(Key, VehicleState, Trig)>,
 }
 
 /// The counts [`expand_slice`] reports next to what it left in [`Scratch`].
@@ -300,11 +324,17 @@ pub(crate) struct SliceOutcome {
 ///
 /// * **Axes.** One Euler step moves every candidate of a parent to the
 ///   same position, gives every steering value one heading and every
-///   acceleration one speed. So the kernel takes one sin/cos, position and
-///   position quantum per parent, one heading, verdict and heading quantum
-///   per steering value, and one speed and speed quantum per acceleration;
+///   acceleration one speed. So the kernel takes one position and position
+///   quantum per parent, one heading, verdict and heading quantum per
+///   steering value, and one speed and speed quantum per acceleration;
 ///   each (acceleration, steering) pair, in acceleration-major order, only
 ///   claims its cell. Non-finite candidates are skipped.
+/// * **Trigonometry.** Each heading's sine and cosine is computed at most
+///   once: a parent takes the pair its admitting verdict computed (`prev`'s
+///   second lane; a copied prefix or a reused verdict computed none, so
+///   the parent computes it), a steering value whose heading has the
+///   parent's exact bits takes the parent's pair, and the filters take the
+///   candidate's pair and the cache's per-slice obstacle pairs.
 /// * **Verdicts.** The filters read only a candidate's pose `(x, y, θ)`,
 ///   never `v`, so siblings sharing a heading share their verdict. A
 ///   per-parent memo keyed by exact heading bits holds one verdict per
@@ -341,7 +371,7 @@ fn expand_slice(
     ctx: &Expansion<'_>,
     lanes: &SliceLanes<'_>,
     basis: Option<&Basis<'_>>,
-    prev: &[VehicleState],
+    (prev, prev_trigs): (&[VehicleState], &[Trig]),
     grid: &mut Grid2,
     scratch: &mut Scratch,
 ) -> SliceOutcome {
@@ -356,8 +386,8 @@ fn expand_slice(
         let run = basis.and_then(|b| b.run(k, &state));
         let first = out.verdicts;
         // One sin/cos and one position serve every control.
-        let (sin_t, cos_t) = state.theta.sin_cos();
-        let pos = model.step_position(&state, dt, sin_t, cos_t);
+        let trig = known_trig(prev_trigs.get(k).copied().unwrap_or(NO_TRIG), state.theta);
+        let pos = model.step_position(&state, dt, trig.0, trig.1);
         let mut rows = 0;
         if pos.is_finite() {
             for &accel in &ctx.axes.accels {
@@ -382,11 +412,19 @@ fn expand_slice(
                 continue;
             }
             let bits = theta.to_bits();
+            // Straight ahead, or any steering at rest, keeps the parent's
+            // heading bits and so its pair.
+            let mut cand_trig = if bits == state.theta.to_bits() {
+                trig
+            } else {
+                NO_TRIG
+            };
             let code = match memo_lookup(scratch, first, out.verdicts, bits) {
                 Some(code) => code,
                 None => {
                     let cand = Pose::new(pos.x, pos.y, Radians::raw(theta));
-                    let code = resolve_verdict(ctx, lanes, run, &state, &cand, bits);
+                    let code =
+                        resolve_verdict(ctx, lanes, run, &state, &cand, bits, &mut cand_trig);
                     if let (Some(b), Some(c)) = (
                         scratch.bits.get_mut(out.verdicts),
                         scratch.codes.get_mut(out.verdicts),
@@ -405,7 +443,7 @@ fn expand_slice(
                 }
             };
             if let (VERDICT_PASS, Some(col)) = (code, scratch.headings.get_mut(cols)) {
-                *col = (theta, quantum(theta, HEADING_QUANTUM));
+                *col = (theta, quantum(theta, HEADING_QUANTUM), cand_trig);
                 cols += 1;
             }
         }
@@ -419,9 +457,10 @@ fn expand_slice(
             let qpos = position_quanta(pos, eps);
             let headings = scratch.headings.get(..cols).unwrap_or_default();
             for &(v, qv) in scratch.speeds.get(..rows).unwrap_or_default() {
-                for &(theta, qt) in headings {
+                for &(theta, qt, cand_trig) in headings {
                     let cand = VehicleState::new(pos.x, pos.y, theta, v);
-                    claimed = scratch.table.claim(claimed, cell_key(qpos, qt, qv), cand);
+                    let key = cell_key(qpos, qt, qv);
+                    claimed = scratch.table.claim(claimed, key, cand, cand_trig);
                 }
             }
         }
@@ -434,7 +473,7 @@ fn expand_slice(
     for entry in frontier.iter_mut() {
         entry.0 = rank_key(&entry.1);
     }
-    let descending = |a: &(Key, VehicleState), b: &(Key, VehicleState)| b.0.cmp(&a.0);
+    let descending = |a: &(Key, VehicleState, Trig), b: &(Key, VehicleState, Trig)| b.0.cmp(&a.0);
     if claimed > cap {
         // `cap < claimed`: the selection index is in bounds.
         frontier.select_nth_unstable_by(cap, descending);
@@ -471,6 +510,9 @@ fn memo_lookup(scratch: &Scratch, first: usize, end: usize, bits: u64) -> Option
 ///   re-run (drivability passed: a drive failure records off-map before any
 ///   obstacle scan),
 /// * unrecorded heading or novel parent → the whole filter chain runs.
+///
+/// A filter that runs reads the candidate heading's sine and cosine from
+/// `trig`, computing and storing it there first when it is [`NO_TRIG`].
 fn resolve_verdict(
     ctx: &Expansion<'_>,
     lanes: &SliceLanes<'_>,
@@ -478,26 +520,29 @@ fn resolve_verdict(
     state: &VehicleState,
     cand: &Pose,
     bits: u64,
+    trig: &mut Trig,
 ) -> u32 {
     match run.and_then(|r| Some((r.recorded(bits)?, r.removed))) {
         Some((VERDICT_PASS, _)) => VERDICT_PASS,
         Some((VERDICT_OFF_MAP, _)) => VERDICT_OFF_MAP,
         Some((code, removed)) if code != removed => code,
-        Some(_) => obstacles_verdict(state, cand, &ctx.dims, lanes, ctx.active),
+        Some(_) => {
+            *trig = known_trig(*trig, cand.theta);
+            obstacles_verdict(state, cand, *trig, &ctx.dims, lanes, ctx.active)
+        }
         None => {
-            let (sin_c, cos_c) = cand.theta.sin_cos();
-            verdict_for(
-                ctx.map, state, cand, sin_c, cos_c, &ctx.dims, lanes, ctx.active,
-            )
+            *trig = known_trig(*trig, cand.theta);
+            verdict_for(ctx.map, state, cand, *trig, &ctx.dims, lanes, ctx.active)
         }
     }
 }
 
 impl CellTable {
-    /// Files `cand` under its dedup cell `key`: an unclaimed cell appends
-    /// an entry, a claimed one keeps the canonically greater state. Returns
-    /// the new number of claimed cells.
-    fn claim(&mut self, claimed: usize, key: Key, cand: VehicleState) -> usize {
+    /// Files `cand`, with its heading's pair `trig` (or [`NO_TRIG`]), under
+    /// its dedup cell `key`: an unclaimed cell appends an entry, a claimed
+    /// one keeps the canonically greater state. Returns the new number of
+    /// claimed cells.
+    fn claim(&mut self, claimed: usize, key: Key, cand: VehicleState, trig: Trig) -> usize {
         let mask = self.slots.len().wrapping_sub(1);
         let mut idx = (hash_cell(key) as usize) & mask;
         for _ in 0..self.slots.len() {
@@ -507,7 +552,7 @@ impl CellTable {
             if slot.0 != self.generation {
                 if let Some(entry) = self.entries.get_mut(claimed) {
                     *slot = (self.generation, claimed as u32);
-                    *entry = (key, cand);
+                    *entry = (key, cand, trig);
                     return claimed + 1;
                 }
                 break;
@@ -515,7 +560,7 @@ impl CellTable {
             if let Some(entry) = self.entries.get_mut(slot.1 as usize) {
                 if entry.0 == key {
                     if canonical_order(&cand, &entry.1) == Ordering::Greater {
-                        entry.1 = cand;
+                        (entry.1, entry.2) = (cand, trig);
                     }
                     return claimed;
                 }
@@ -607,39 +652,40 @@ fn body_box(pose: &Pose, length: Meters, width: Meters) -> Obb {
 /// The full per-candidate filter verdict: [`VERDICT_OFF_MAP`] when the
 /// (shrunk) body leaves the drivable area, otherwise the obstacle verdict
 /// of [`obstacles_verdict`]. Reads only the candidate's pose — the verdict
-/// is shared by every sibling candidate with the same heading. `sin_c`,
-/// `cos_c` must be `cand.theta.sin_cos()` (callers may memoize; the memo
-/// is bit-identical).
-#[allow(clippy::too_many_arguments)] // internal hot-path helper
+/// is shared by every sibling candidate with the same heading. `trig` must
+/// be `cand.theta.sin_cos()` (callers may memoize; the memo is
+/// bit-identical).
 fn verdict_for(
     map: &RoadMap,
     state: &VehicleState,
     cand: &Pose,
-    sin_c: f64,
-    cos_c: f64,
+    trig: Trig,
     dims: &BodyDims,
     lanes: &SliceLanes<'_>,
     active: &[u32],
 ) -> u32 {
     let drive_fp = body_box(cand, dims.drive_len, dims.drive_wid);
-    if !map.is_obb_drivable_trig(&drive_fp, sin_c, cos_c) {
+    if !map.is_obb_drivable_trig(&drive_fp, trig.0, trig.1) {
         return VERDICT_OFF_MAP;
     }
-    obstacles_verdict(state, cand, dims, lanes, active)
+    obstacles_verdict(state, cand, trig, dims, lanes, active)
 }
 
 /// The obstacle half of the filter chain: the slice-footprint collision
 /// scan followed by the anti-tunnelling midpoint scan. Returns
 /// [`VERDICT_PASS`] or the *active-list position* of the first blocking
-/// obstacle.
+/// obstacle. `trig` is `cand.theta.sin_cos()`, which the midpoint pose
+/// shares.
 fn obstacles_verdict(
     state: &VehicleState,
     cand: &Pose,
+    trig: Trig,
     dims: &BodyDims,
     lanes: &SliceLanes<'_>,
     active: &[u32],
 ) -> u32 {
-    if let Some(pos) = scan_hit(cand, dims, lanes.rejects, lanes.obbs, active) {
+    let slice = (lanes.rejects, lanes.obbs, lanes.trigs);
+    if let Some(pos) = scan_hit(cand, trig, dims, slice, active) {
         return pos;
     }
     // Midpoint check against tunnelling through thin/fast actors.
@@ -648,7 +694,8 @@ fn obstacles_verdict(
         (state.y + cand.y) * 0.5,
         Radians::raw(cand.theta),
     );
-    match scan_hit(&mid, dims, lanes.mid_rejects, lanes.mid_obbs, active) {
+    let mid_lanes = (lanes.mid_rejects, lanes.mid_obbs, lanes.mid_trigs);
+    match scan_hit(&mid, trig, dims, mid_lanes, active) {
         Some(pos) => pos,
         None => VERDICT_PASS,
     }
@@ -657,13 +704,14 @@ fn obstacles_verdict(
 /// Collision scan of one candidate against the active entries of a slice's
 /// footprint lanes, with centre-point broadphase: the exact SAT test (and
 /// the ego-OBB construction itself) only runs for obstacles whose reject
-/// box contains the candidate's centre. Returns the active-list position of
-/// the first hit.
+/// box contains the candidate's centre. `trig` is the candidate heading's
+/// sine and cosine, and `lanes` the slice's reject boxes, OBBs and OBB
+/// heading pairs. Returns the active-list position of the first hit.
 fn scan_hit(
     cand: &Pose,
+    trig: Trig,
     dims: &BodyDims,
-    rejects: &[Aabb],
-    obbs: &[Obb],
+    (rejects, obbs, trigs): (&[Aabb], &[Obb], &[Trig]),
     active: &[u32],
 ) -> Option<u32> {
     let center = cand.position();
@@ -675,11 +723,11 @@ fn scan_hit(
         if !reject.contains_point(center) {
             continue;
         }
-        let Some(obb) = obbs.get(ci as usize) else {
+        let (Some(obb), Some(&obb_trig)) = (obbs.get(ci as usize), trigs.get(ci as usize)) else {
             continue;
         };
         let fp = ego_fp.get_or_insert_with(|| body_box(cand, dims.ego_len, dims.ego_wid));
-        if fp.intersects(obb) {
+        if fp.intersects_given_trig(trig, obb, obb_trig) {
             return Some(pos as u32);
         }
     }

@@ -175,7 +175,8 @@ pub fn compute_reach_tube_traced(
 
 /// The factual tube's slices `0..=last` (clamped to the tube) as the start
 /// of a derived tube: the lanes copied, the grid cells those slices newly
-/// occupied replayed onto a fresh ego grid, their truncation flags kept.
+/// occupied replayed onto a fresh ego grid, their truncation flags and
+/// blame masks kept as the prefix's truncation and blocking flags.
 fn copy_prefix(
     tube: &ReachTube,
     blame: &TubeBlame,
@@ -190,7 +191,8 @@ fn copy_prefix(
         grid.occupy_index(cell as usize);
     }
     let truncated = blame.truncated.iter().take(last).any(|&t| t);
-    tube.prefix(last, grid, truncated)
+    let blocked = blame.masks.iter().take(last).any(|&m| m != 0);
+    tube.prefix(last, grid, truncated, blocked)
 }
 
 /// Derives the empty-world tube `T^∅` (no obstacle active) from a traced
@@ -765,6 +767,50 @@ mod tests {
                 prop_assert_eq!(&rebuilt, &tube);
             }
             prop_assert_eq!(patched, rebuilt);
+        }
+
+        /// A tube in which no obstacle blocked any candidate is the
+        /// empty-world tube: over `prop_patch_matches_rebuild`'s inputs,
+        /// every fresh, traced, derived and patched tube that reports
+        /// `!was_blocked()` equals the rebuild over no obstacle, which
+        /// itself reports `false`. A traced tube is blocked exactly when
+        /// its blame record blames a slice.
+        #[test]
+        fn prop_unblocked_tubes_are_the_empty_tube(
+            placements in proptest::collection::vec(
+                (103.0..160.0f64, 0.5..10.0f64, -8.0..8.0f64), 1..9),
+            removed_seed in 0usize..8,
+            default_preset in any::<bool>(),
+            mode in 0usize..3,
+        ) {
+            let map = open_road();
+            let cfg = preset(default_preset, mode);
+            let obstacles: Vec<Obstacle> = placements
+                .iter()
+                .map(|&(x, y, speed)| moving_obstacle(x, y, speed))
+                .collect();
+            let removed = removed_seed % obstacles.len();
+            let cache = SliceCache::new(&obstacles, &cfg);
+            let all: Vec<usize> = (0..obstacles.len()).collect();
+            let without: Vec<usize> =
+                all.iter().copied().filter(|&i| i != removed).collect();
+            let empty = compute_reach_tube_cached(&map, ego(), &cache, &[], &cfg);
+            prop_assert!(!empty.was_blocked());
+            let (traced, blame) =
+                compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
+            prop_assert_eq!(traced.was_blocked(), blame.first_blamed_slice().is_some());
+            let tubes = [
+                ("fresh", compute_reach_tube_cached(&map, ego(), &cache, &all, &cfg)),
+                ("fresh without", compute_reach_tube_cached(&map, ego(), &cache, &without, &cfg)),
+                ("derived", derive_empty_tube(&map, &traced, &blame, &cache, &cfg)),
+                ("patched", patch_counterfactual(&map, &traced, &blame, &cache, removed, &cfg)),
+                ("traced", traced),
+            ];
+            for (label, tube) in &tubes {
+                if !tube.was_blocked() {
+                    prop_assert_eq!(tube, &empty, "unblocked {} tube", label);
+                }
+            }
         }
     }
 }

@@ -13,7 +13,8 @@
 //! * the obstacle's interpolated OBB at the slice time and at the slice
 //!   midpoint (built through the exact same `Obstacle::footprint_at`
 //!   arithmetic, so collision outcomes are bit-identical to the uncached
-//!   path), and
+//!   path), with the sine and cosine of each OBB's heading, which every
+//!   separating-axis test against it reads, and
 //! * a conservative **reject AABB** per OBB — the OBB's bounding box
 //!   inflated by the ego footprint's circumradius. A candidate whose centre
 //!   lies outside the reject box provably cannot intersect the obstacle, so
@@ -59,11 +60,15 @@ const BROADPHASE_SLACK: f64 = 1e-3;
 pub(crate) struct SliceLanes<'a> {
     /// Obstacle OBBs at the slice time, inflated by the safety margin.
     pub(crate) obbs: &'a [Obb],
+    /// `obbs[i].pose.heading().sin_cos()`.
+    pub(crate) trigs: &'a [(f64, f64)],
     /// Reject AABBs for `obbs`: candidates whose centre falls outside
     /// cannot intersect the corresponding OBB.
     pub(crate) rejects: &'a [Aabb],
     /// Obstacle OBBs at the slice midpoint (anti-tunnelling check).
     pub(crate) mid_obbs: &'a [Obb],
+    /// `mid_obbs[i].pose.heading().sin_cos()`.
+    pub(crate) mid_trigs: &'a [(f64, f64)],
     /// Reject AABBs for `mid_obbs`.
     pub(crate) mid_rejects: &'a [Aabb],
 }
@@ -72,8 +77,10 @@ impl SliceLanes<'static> {
     /// Lanes of a slice with no obstacles (every scan is a no-op).
     pub(crate) const EMPTY: SliceLanes<'static> = SliceLanes {
         obbs: &[],
+        trigs: &[],
         rejects: &[],
         mid_obbs: &[],
+        mid_trigs: &[],
         mid_rejects: &[],
     };
 }
@@ -89,8 +96,10 @@ pub struct SliceCache {
     n_slices: usize,
     /// Slice-major lanes: entry `slice_offset * n_obstacles + obstacle`.
     obbs: Vec<Obb>,
+    trigs: Vec<(f64, f64)>,
     rejects: Vec<Aabb>,
     mid_obbs: Vec<Obb>,
+    mid_trigs: Vec<(f64, f64)>,
     mid_rejects: Vec<Aabb>,
     /// Per obstacle: union of every reject AABB — the obstacle's total
     /// swept extent over the horizon, already inflated for the broadphase.
@@ -121,8 +130,10 @@ impl SliceCache {
         );
         let total = n_slices * n_obstacles;
         let mut obbs = Vec::with_capacity(total);
+        let mut trigs = Vec::with_capacity(total);
         let mut rejects = Vec::with_capacity(total);
         let mut mid_obbs = Vec::with_capacity(total);
+        let mut mid_trigs = Vec::with_capacity(total);
         let mut mid_rejects = Vec::with_capacity(total);
         let mut bounds: Vec<Option<Aabb>> = vec![None; n_obstacles];
         // One monotone interpolation cursor per obstacle: the slice-major
@@ -153,8 +164,10 @@ impl SliceCache {
                 let union = reject.union(&mid_reject);
                 bounds[i] = Some(bounds[i].map_or(union, |b| b.union(&union)));
                 obbs.push(obb);
+                trigs.push(obb.pose.heading().sin_cos());
                 rejects.push(reject);
                 mid_obbs.push(mid_obb);
+                mid_trigs.push(mid_obb.pose.heading().sin_cos());
                 mid_rejects.push(mid_reject);
             }
         }
@@ -163,8 +176,10 @@ impl SliceCache {
             n_obstacles,
             n_slices,
             obbs,
+            trigs,
             rejects,
             mid_obbs,
+            mid_trigs,
             mid_rejects,
             bounds: bounds
                 .into_iter()
@@ -192,8 +207,10 @@ impl SliceCache {
         let hi = lo.checked_add(self.n_obstacles)?;
         Some(SliceLanes {
             obbs: self.obbs.get(lo..hi)?,
+            trigs: self.trigs.get(lo..hi)?,
             rejects: self.rejects.get(lo..hi)?,
             mid_obbs: self.mid_obbs.get(lo..hi)?,
+            mid_trigs: self.mid_trigs.get(lo..hi)?,
             mid_rejects: self.mid_rejects.get(lo..hi)?,
         })
     }
@@ -274,27 +291,60 @@ mod tests {
         )
     }
 
+    /// An obstacle turning through a full circle, across ±π, over the
+    /// horizon: its slice and midpoint headings take many values.
+    fn turning_obstacle() -> Obstacle {
+        let states = (0..14)
+            .map(|i| {
+                let t = 0.25 * f64::from(i);
+                let theta = iprism_geom::wrap_to_pi(2.0 + 2.4 * t);
+                VehicleState::new(
+                    120.0 + 6.0 * theta.cos(),
+                    5.0 + 6.0 * theta.sin(),
+                    theta,
+                    6.0,
+                )
+            })
+            .collect();
+        Obstacle::new(
+            Trajectory::from_states(Seconds::new(0.0), Seconds::new(0.25), states),
+            Meters::new(4.6),
+            Meters::new(2.0),
+        )
+    }
+
     #[test]
     fn cache_matches_uncached_footprints() {
         let cfg = ReachConfig::default();
-        let o = obstacle_at(115.0, 5.25);
-        let cache = SliceCache::new(std::slice::from_ref(&o), &cfg);
-        assert_eq!(cache.obstacle_count(), 1);
+        let obstacles = [obstacle_at(115.0, 5.25), turning_obstacle()];
+        let cache = SliceCache::new(&obstacles, &cfg);
+        assert_eq!(cache.obstacle_count(), 2);
         assert!(!cache.is_empty());
         for slice_offset in 0..cfg.slices() {
             let lanes = cache.slice_lanes(slice_offset).unwrap();
-            assert_eq!(lanes.obbs.len(), 1);
+            assert_eq!(lanes.obbs.len(), 2);
             let slice_time = cfg.start_time + (slice_offset + 1) as f64 * cfg.dt;
-            let expect = o.footprint_at(slice_time, cfg.safety_margin);
-            let expect_mid = o.footprint_at(slice_time - cfg.dt * 0.5, cfg.safety_margin);
-            assert_eq!(
-                lanes.obbs[0], expect,
-                "slice {slice_offset} footprint diverged"
-            );
-            assert_eq!(
-                lanes.mid_obbs[0], expect_mid,
-                "slice {slice_offset} midpoint diverged"
-            );
+            for (i, o) in obstacles.iter().enumerate() {
+                let expect = o.footprint_at(slice_time, cfg.safety_margin);
+                let expect_mid = o.footprint_at(slice_time - cfg.dt * 0.5, cfg.safety_margin);
+                assert_eq!(
+                    lanes.obbs[i], expect,
+                    "slice {slice_offset} footprint {i} diverged"
+                );
+                assert_eq!(
+                    lanes.mid_obbs[i], expect_mid,
+                    "slice {slice_offset} midpoint {i} diverged"
+                );
+                // The cached pairs are the headings' own sine and cosine.
+                for (trig, obb) in [(lanes.trigs[i], expect), (lanes.mid_trigs[i], expect_mid)] {
+                    let (s, c) = obb.pose.heading().sin_cos();
+                    assert_eq!(
+                        (trig.0.to_bits(), trig.1.to_bits()),
+                        (s.to_bits(), c.to_bits()),
+                        "slice {slice_offset} heading pair {i} diverged"
+                    );
+                }
+            }
         }
         assert!(cache.slice_lanes(cfg.slices()).is_none());
     }

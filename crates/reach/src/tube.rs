@@ -30,14 +30,21 @@ pub struct ReachTube {
     offsets: Vec<u32>,
     grid: Grid2,
     truncated: bool,
+    blocked: bool,
 }
 
 impl ReachTube {
     /// A partial tube holding this tube's slices `0..=last` verbatim (one
-    /// copy per lane) over `grid`, with `truncated` as its flag so far; its
-    /// frontier is slice `last`, which must exist. The lanes reserve room
-    /// for a tube of this one's size.
-    pub(crate) fn prefix(&self, last: usize, grid: Grid2, truncated: bool) -> PartialTube {
+    /// copy per lane) over `grid`, with `truncated` and `blocked` as its
+    /// flags so far; its frontier is slice `last`, which must exist. The
+    /// lanes reserve room for a tube of this one's size.
+    pub(crate) fn prefix(
+        &self,
+        last: usize,
+        grid: Grid2,
+        truncated: bool,
+        blocked: bool,
+    ) -> PartialTube {
         let end = self.offsets.get(last + 1).copied().unwrap_or(0) as usize;
         let lane = |values: &[f64]| {
             let mut copy = Vec::with_capacity(values.len());
@@ -56,8 +63,10 @@ impl ReachTube {
                 .slices()
                 .get(last)
                 .map_or_else(Vec::new, |s| s.iter().collect()),
+            frontier_trigs: Vec::new(),
             grid,
             truncated,
+            blocked,
         }
     }
 
@@ -118,11 +127,24 @@ impl ReachTube {
     pub fn was_truncated(&self) -> bool {
         self.truncated
     }
+
+    /// `true` when some obstacle blocked a candidate state of the tube.
+    ///
+    /// Obstacles enter a tube only through the verdicts that block its
+    /// candidates, so a tube in which none did is, slice by slice, the
+    /// empty-world tube `T^∅` of its ego state and configuration, bit for
+    /// bit. The STI evaluator uses that to skip deriving `T^∅` when the
+    /// factual tube or a lone blamed actor's counterfactual already is it.
+    #[inline]
+    pub fn was_blocked(&self) -> bool {
+        self.blocked
+    }
 }
 
 /// A tube under construction, slice by slice: the SoA lanes of the slices
-/// emitted so far, the grid they marked, their truncation flag, and the
-/// last emitted slice — the frontier the next slice expands. A full build
+/// emitted so far, the grid they marked, their truncation and blocking
+/// flags, and the last emitted slice — the frontier the next slice expands,
+/// with the heading sines and cosines its verdicts computed. A full build
 /// starts from the ego state alone ([`PartialTube::start`]); a derived tube
 /// starts from a copied prefix of a factual one ([`ReachTube::prefix`]).
 pub(crate) struct PartialTube {
@@ -133,10 +155,16 @@ pub(crate) struct PartialTube {
     offsets: Vec<u32>,
     /// The last emitted slice's states, in stored order.
     pub(crate) frontier: Vec<VehicleState>,
+    /// `frontier[i].theta.sin_cos()` where the verdict that admitted the
+    /// state computed it, NaN where it did not; empty for a start or a
+    /// copied prefix.
+    pub(crate) frontier_trigs: Vec<(f64, f64)>,
     /// Cells marked by the emitted slices.
     pub(crate) grid: Grid2,
     /// `true` once an emitted slice hit the frontier cap.
     pub(crate) truncated: bool,
+    /// `true` once an obstacle blocked a candidate of an emitted slice.
+    pub(crate) blocked: bool,
 }
 
 impl PartialTube {
@@ -149,8 +177,10 @@ impl PartialTube {
             vs: vec![ego.v],
             offsets: vec![0, 1],
             frontier: vec![ego],
+            frontier_trigs: Vec::new(),
             grid,
             truncated: false,
+            blocked: false,
         }
     }
 
@@ -181,6 +211,7 @@ impl PartialTube {
             offsets: self.offsets,
             grid: self.grid,
             truncated: self.truncated,
+            blocked: self.blocked,
         }
     }
 }
@@ -357,10 +388,10 @@ mod tests {
             vec![VehicleState::new(3.0, 0.0, 0.0, 5.0)],
         ];
         let t = tube_with(slices.clone());
-        assert_eq!(t.prefix(2, t.grid().clone(), false).finish(), t);
+        assert_eq!(t.prefix(2, t.grid().clone(), false, false).finish(), t);
         // A shorter prefix ends at its frontier; emitting the remaining
         // slice restores the tube.
-        let mut head = t.prefix(1, t.grid().clone(), false);
+        let mut head = t.prefix(1, t.grid().clone(), false, false);
         assert_eq!(head.slice_count(), 2);
         assert_eq!(head.frontier, slices[1]);
         head.frontier.clone_from(&slices[2]);
@@ -368,7 +399,7 @@ mod tests {
         assert_eq!(head.finish(), t);
         // Slice 0 alone is a fresh start from the same state.
         assert_eq!(
-            t.prefix(0, t.grid().clone(), false).finish(),
+            t.prefix(0, t.grid().clone(), false, false).finish(),
             PartialTube::start(slices[0][0], t.grid().clone()).finish()
         );
     }
@@ -380,6 +411,8 @@ mod tests {
             Grid2::new(Aabb::new(Vec2::ZERO, Vec2::new(1.0, 1.0)), Meters::new(0.5)),
         );
         t.truncated = true;
-        assert!(t.finish().was_truncated());
+        let t = t.finish();
+        assert!(t.was_truncated());
+        assert!(!t.was_blocked());
     }
 }

@@ -85,12 +85,11 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// other tube is *derived* from that build, bit-identical to the full
 /// rebuild it replaces:
 ///
+/// * each `T^{/i}` ([`patch_counterfactual`]) revisits only the work whose
+///   blocking verdict involved the removed actor;
 /// * `T^∅` ([`derive_empty_tube`]) copies the factual slices before the
 ///   first slice in which any actor blocked a candidate, then resumes the
-///   build kernel there with no obstacle active; when no actor blocked
-///   anything, it is `T` itself;
-/// * each `T^{/i}` ([`patch_counterfactual`]) revisits only the work whose
-///   blocking verdict involved the removed actor.
+///   build kernel there with no obstacle active.
 ///
 /// Only actors the traced build's blame record ([`TubeBlame`]) blames get
 /// a patch. An actor the record never blames — out of the ego's reach, or
@@ -98,15 +97,24 @@ pub fn resolve_threads(requested: usize) -> usize {
 /// verdict unchanged when removed, so its `T^{/i}` is `T` itself and its
 /// STI is exactly `0`.
 ///
+/// A tube in which no obstacle blocked any candidate
+/// ([`ReachTube::was_blocked`] is `false`) is `T^∅`, so `T^∅` is derived
+/// only when no tube at hand already is it. With no blamed actor, `T` is
+/// `T^∅`. With one, its patch runs first and is `T^∅` unless an actor the
+/// record never blamed blocks once it is gone; only then is `T^∅` derived.
+/// With two or more, `T^∅` is derived beside the patches.
+///
 /// All tubes of one evaluation share a single precomputed [`SliceCache`]
-/// (obstacle footprints are interpolated once, not once per tube). The
-/// derivations are fanned out over a rayon thread pool sized by
-/// [`StiEvaluator::with_threads`]; results are collected in deterministic
-/// order and each derivation is a pure function of the traced build, so
-/// the output is **byte-for-byte identical** for every thread count,
-/// including fully serial.
+/// (obstacle footprints are interpolated once, not once per tube). With
+/// two or more blamed actors the derivations are fanned out over a rayon
+/// thread pool sized by [`StiEvaluator::with_threads`]; fewer run on the
+/// calling thread. Results are collected in deterministic order and each
+/// derivation is a pure function of the traced build, so the output is
+/// **byte-for-byte identical** for every thread count, including fully
+/// serial.
 ///
 /// [`TubeBlame`]: iprism_reach::TubeBlame
+/// [`ReachTube::was_blocked`]: iprism_reach::ReachTube::was_blocked
 #[derive(Debug, Clone, Default)]
 pub struct StiEvaluator {
     /// Reach-tube parameters.
@@ -172,33 +180,63 @@ impl StiEvaluator {
         let (ftube, blame) = compute_reach_tube_traced(map, scene.ego, &cache, &all_idx, &cfg);
         let v_all = ftube.volume();
 
-        // Job 0 derives the empty tube; every later job patches one blamed
-        // actor out of the traced tube. Every other actor blocked nothing,
-        // so its counterfactual is the factual tube.
-        let blamed = blame
+        // Only blamed actors get a patch: every other actor blocked
+        // nothing, so its counterfactual is the factual tube. A tube that
+        // nothing blocked is `T^∅`, so `T^∅` is derived only when no tube
+        // at hand already is it.
+        let blamed: Vec<usize> = blame
             .active()
             .iter()
             .map(|&i| i as usize)
-            .filter(|&i| !blame.is_unblamed(i));
-        let jobs: Vec<Option<usize>> = std::iter::once(None).chain(blamed.map(Some)).collect();
-        let volumes = self.run_jobs(&jobs, |job| match *job {
-            None => derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume(),
-            Some(skip) => patch_counterfactual(map, &ftube, &blame, &cache, skip, &cfg).volume(),
-        });
+            .filter(|&i| !blame.is_unblamed(i))
+            .collect();
+        let derive_empty = || derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume();
+        let patch = |skip| patch_counterfactual(map, &ftube, &blame, &cache, skip, &cfg);
         let mut v_without = vec![v_all; obstacles.len()];
-        for (job, &volume) in jobs.iter().zip(&volumes) {
-            if let Some(slot) = job.and_then(|i| v_without.get_mut(i)) {
-                *slot = volume;
+        let v_empty = match blamed.as_slice() {
+            // Nothing was blocked: `T` is `T^∅`.
+            [] => v_all,
+            // The lone blamed actor's patch runs first; it is `T^∅` unless
+            // an actor the factual build never blamed blocks once it is
+            // gone.
+            &[lone] => {
+                let tube = patch(lone);
+                let v_lone = tube.volume();
+                if let Some(slot) = v_without.get_mut(lone) {
+                    *slot = v_lone;
+                }
+                if tube.was_blocked() {
+                    derive_empty()
+                } else {
+                    v_lone
+                }
             }
-        }
-        assemble_sti(scene, v_all, volumes[0], &v_without)
+            // Job 0 derives `T^∅` beside the patches.
+            _ => {
+                let jobs: Vec<Option<usize>> = std::iter::once(None)
+                    .chain(blamed.iter().copied().map(Some))
+                    .collect();
+                let volumes = self.run_jobs(&jobs, |job| match *job {
+                    None => derive_empty(),
+                    Some(skip) => patch(skip).volume(),
+                });
+                for (job, &volume) in jobs.iter().zip(&volumes) {
+                    if let Some(slot) = job.and_then(|i| v_without.get_mut(i)) {
+                        *slot = volume;
+                    }
+                }
+                volumes[0]
+            }
+        };
+        assemble_sti(scene, v_all, v_empty, &v_without)
     }
 
     /// Cheap evaluation of only `STI^(combined)` (Eq. 5) — what the SMC
     /// reward needs at every RL step. Two volumes instead of `N + 2`: one
     /// traced factual build, then `T^∅` derived from it
-    /// ([`derive_empty_tube`]), over one shared slice cache, on the calling
-    /// thread.
+    /// ([`derive_empty_tube`]) unless nothing blocked the factual tube,
+    /// which is then `T^∅` itself, over one shared slice cache, on the
+    /// calling thread.
     ///
     /// With a tube memo attached, a cached volume is not recomputed: when
     /// only `|T^∅|` is cached, `T` is built directly. When `|T^∅|` is
@@ -229,7 +267,12 @@ impl StiEvaluator {
             ],
             [_, None] => {
                 let (ftube, blame) = compute_reach_tube_traced(map, ego, &cache, &all_idx, &cfg);
-                let v_empty = derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume();
+                // A factual tube that nothing blocked is `T^∅`.
+                let v_empty = if ftube.was_blocked() {
+                    derive_empty_tube(map, &ftube, &blame, &cache, &cfg).volume()
+                } else {
+                    ftube.volume()
+                };
                 [ftube.volume(), v_empty]
             }
         };
@@ -505,6 +548,135 @@ mod tests {
                 expect,
                 "{label}, warm"
             );
+        }
+    }
+
+    /// The naive `N + 2` rebuilds of a scene: `|T|`, `|T^∅|` and every
+    /// `|T^{/i}|` built from scratch, assembled as `evaluate` assembles
+    /// them.
+    fn naive_sti(map: &RoadMap, scene: &SceneSnapshot) -> Sti {
+        let cfg = StiEvaluator::default().scene_config(scene);
+        let cache = SliceCache::new(&scene.obstacles(), &cfg);
+        let volume = |active: &[usize]| {
+            compute_reach_tube_cached(map, scene.ego, &cache, active, &cfg).volume()
+        };
+        let all: Vec<usize> = (0..scene.actors.len()).collect();
+        let v_without: Vec<f64> = all
+            .iter()
+            .map(|&i| volume(&all.iter().copied().filter(|&j| j != i).collect::<Vec<_>>()))
+            .collect();
+        assemble_sti(scene, volume(&all), volume(&[]), &v_without)
+    }
+
+    /// A scene's blame class as the evaluator meets it: the interacting
+    /// actors, the blamed ones, whether the factual tube was blocked, and
+    /// whether each blamed actor's patch was.
+    fn blame_class(map: &RoadMap, scene: &SceneSnapshot) -> (usize, Vec<usize>, bool, Vec<bool>) {
+        let cfg = StiEvaluator::default().scene_config(scene);
+        let cache = SliceCache::new(&scene.obstacles(), &cfg);
+        let all: Vec<usize> = (0..scene.actors.len()).collect();
+        let (tube, blame) = compute_reach_tube_traced(map, scene.ego, &cache, &all, &cfg);
+        let blamed: Vec<usize> = all.into_iter().filter(|&i| !blame.is_unblamed(i)).collect();
+        let patches = blamed
+            .iter()
+            .map(|&i| patch_counterfactual(map, &tube, &blame, &cache, i, &cfg).was_blocked())
+            .collect();
+        (blame.active().len(), blamed, tube.was_blocked(), patches)
+    }
+
+    /// One scene per blame class; each asserts its class, so a scene that
+    /// drifts out of it fails, and equals the naive `N + 2` rebuilds bit
+    /// for bit at 1, 2 and 8 threads, in full and combined.
+    #[test]
+    fn every_blame_class_matches_the_naive_rebuilds() {
+        let map = map3();
+        let base = SceneSnapshot::new(0.0, ego(), (4.6, 2.0));
+        // Beside the road: in the ego's reach, but every candidate that
+        // could touch it has already left the map.
+        let beside = || parked(2, 115.0, 14.0);
+        // A motorbike parked inside the footprint of the car ahead (actor
+        // 1): whatever it would block, the car blocks first.
+        let hidden = SceneActor::new(
+            ActorId(2),
+            Trajectory::from_states(
+                Seconds::new(0.0),
+                Seconds::new(2.5),
+                vec![VehicleState::new(114.0, 5.25, 0.0, 0.0); 2],
+            ),
+            2.0,
+            0.8,
+        );
+        // (class, scene, interacting, blamed, factual blocked, patches blocked)
+        let classes = [
+            (
+                "no actor blamed",
+                base.clone().with_actor(beside()),
+                1,
+                vec![],
+                false,
+                vec![],
+            ),
+            (
+                "one blamed actor, the only interacting one",
+                base.clone()
+                    .with_actor(parked(1, 114.0, 5.25))
+                    .with_actor(parked(2, 500.0, 5.25)),
+                1,
+                vec![0],
+                true,
+                vec![false],
+            ),
+            (
+                "one blamed actor, another interacting one stays clear",
+                base.clone()
+                    .with_actor(parked(1, 114.0, 5.25))
+                    .with_actor(beside()),
+                2,
+                vec![0],
+                true,
+                vec![false],
+            ),
+            (
+                "one blamed actor, another blocks once it is gone",
+                base.clone()
+                    .with_actor(parked(1, 114.0, 5.25))
+                    .with_actor(hidden),
+                2,
+                vec![0],
+                true,
+                vec![true],
+            ),
+            (
+                "two blamed actors",
+                base.clone()
+                    .with_actor(parked(1, 112.0, 5.25))
+                    .with_actor(parked(2, 112.0, 8.75)),
+                2,
+                vec![0, 1],
+                true,
+                vec![true, true],
+            ),
+        ];
+        for (class, scene, interacting, blamed, blocked, patches) in classes {
+            assert_eq!(
+                blame_class(&map, &scene),
+                (interacting, blamed, blocked, patches),
+                "{class}: drifted out of its class"
+            );
+            let expect = naive_sti(&map, &scene);
+            for threads in [1, 2, 8] {
+                let ev = StiEvaluator::default().with_threads(threads);
+                assert_eq!(
+                    ev.evaluate(&map, &scene),
+                    expect,
+                    "{class}, {threads} threads"
+                );
+                assert_eq!(
+                    ev.evaluate_combined(&map, &scene),
+                    expect.combined,
+                    "{class}, {threads} threads, combined"
+                );
+            }
         }
     }
 

@@ -53,6 +53,12 @@ use serde::{Deserialize, Serialize};
 #[inline]
 #[must_use]
 pub fn wrap_to_pi(angle: f64) -> f64 {
+    // `%` is exact and returns its left operand whenever that is smaller
+    // than 2π in magnitude, so an angle already in range (±0 included)
+    // skips it bit-identically; NaN fails the test and takes the `%`.
+    if -PI < angle && angle <= PI {
+        return angle;
+    }
     let two_pi = 2.0 * PI;
     let mut a = angle % two_pi;
     if a <= -PI {
@@ -593,7 +599,68 @@ mod tests {
         assert_eq!(back, m);
     }
 
+    /// `wrap_to_pi` without its in-range fast path: always through `%`.
+    fn wrap_to_pi_fmod(angle: f64) -> f64 {
+        let two_pi = 2.0 * PI;
+        let mut a = angle % two_pi;
+        if a <= -PI {
+            a += two_pi;
+        } else if a > PI {
+            a -= two_pi;
+        }
+        a
+    }
+
+    /// Any `f64` bit pattern, with ±0, ±π, ±2π and the floats next to
+    /// them, ±∞, NaN payloads of either sign and subnormals drawn often.
+    fn any_angle() -> impl Strategy<Value = f64> {
+        let next = |x: f64, up: bool| {
+            let bits = x.to_bits();
+            // Away from or towards zero, by the sign of `x`.
+            f64::from_bits(if up { bits + 1 } else { bits - 1 })
+        };
+        let two_pi = 2.0 * PI;
+        let special = [
+            0.0,
+            -0.0,
+            PI,
+            -PI,
+            next(PI, true),
+            next(PI, false),
+            next(-PI, true),
+            next(-PI, false),
+            two_pi,
+            -two_pi,
+            next(two_pi, false),
+            next(-two_pi, false),
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_dead_beef),
+            f64::MAX,
+            f64::MIN,
+        ];
+        (0u8..3, any::<u64>(), -20.0..20.0f64).prop_map(move |(kind, bits, small)| match kind {
+            0 => f64::from_bits(bits),
+            1 => special[(bits % special.len() as u64) as usize],
+            _ => small,
+        })
+    }
+
     proptest! {
+        /// Skipping `%` for angles already in `(-π, π]` returns the same
+        /// bits as always taking it, over arbitrary bit patterns.
+        #[test]
+        fn prop_wrap_to_pi_fast_path_matches_fmod(a in any_angle()) {
+            prop_assert_eq!(wrap_to_pi(a).to_bits(), wrap_to_pi_fmod(a).to_bits(), "angle {:e}", a);
+        }
+
         #[test]
         fn prop_radians_new_in_interval(a in -1e6..1e6f64) {
             let r = Radians::new(a).get();
