@@ -39,16 +39,18 @@ pub struct RiskSeries {
     pub points: Vec<SeriesPoint>,
 }
 
-/// Computes one metric's per-step values along a trace (None where the
-/// metric is undefined, e.g. TTC with no in-path actor). Dispatches through
-/// the [`RiskMetric`] trait, so any implementation can be charted.
+/// Computes one metric's per-step values along a trace, every `stride`-th
+/// step over a `horizon` (s) of future actor motion (None where the metric
+/// is undefined, e.g. TTC with no in-path actor). Dispatches through the
+/// [`RiskMetric`] trait, so any implementation can be charted.
 fn metric_series(
     metric: &dyn RiskMetric,
     map: &RoadMap,
     trace: &Trace,
-    horizon_steps: usize,
+    horizon: f64,
     stride: usize,
 ) -> Vec<(f64, Option<f64>)> {
+    let horizon_steps = (horizon / trace.dt()).ceil() as usize;
     let mut out = Vec::new();
     for i in (0..trace.len()).step_by(stride.max(1)) {
         let scene = match SceneSnapshot::from_trace(trace, i, horizon_steps) {
@@ -93,14 +95,7 @@ pub fn risk_characterization(
                 .iter()
                 .filter(|(collided, ..)| *collided == accident_population)
                 .map(|(_, trace, map)| {
-                    let horizon_steps = (horizon / trace.dt()).ceil() as usize;
-                    metric_series(
-                        suite.metric(metric),
-                        map,
-                        trace,
-                        horizon_steps,
-                        config.stride,
-                    )
+                    metric_series(suite.metric(metric), map, trace, horizon, config.stride)
                 })
                 .collect();
             out.push(RiskSeries {
@@ -162,18 +157,8 @@ pub fn iprism_sti_series(smc: &Smc, config: &EvalConfig) -> (Vec<SeriesPoint>, V
         };
         let runs: Vec<Vec<(f64, Option<f64>)>> =
             runner.sweep_map(specs.clone(), make_agent, |_, run| {
-                let trace = &run.trace;
-                let horizon_steps = (sti.config.horizon.get() / trace.dt()).ceil() as usize;
-                let mut out = Vec::new();
-                for i in (0..trace.len()).step_by(config.stride.max(1)) {
-                    if let Some(scene) = SceneSnapshot::from_trace(trace, i, horizon_steps) {
-                        out.push((
-                            trace.steps()[i].time,
-                            Some(sti.evaluate_combined(&run.map, &scene)),
-                        ));
-                    }
-                }
-                out
+                let horizon = sti.config.horizon.get();
+                metric_series(&sti, &run.map, &run.trace, horizon, config.stride)
             });
         aggregate(&runs)
     };

@@ -10,7 +10,6 @@ use iprism_units::MetersPerSecondSquared;
 
 use crate::patch::{Basis, Run};
 use crate::slice_cache::SliceLanes;
-use crate::tube::PartialTube;
 use crate::{Obstacle, ReachConfig, ReachTube, SamplingMode, SliceCache, TubeBlame};
 
 /// Filter verdict: the candidate survives every geometric filter.
@@ -85,7 +84,7 @@ pub fn compute_reach_tube_cached(
 ) -> ReachTube {
     config.validate();
     let active = interacting(cache, active, &ego);
-    let start = PartialTube::start(ego, ego_grid(&ego, config));
+    let start = ReachTube::start(ego, ego_grid(&ego, config));
     expand(map, start, cache, &active, config, None, None)
 }
 
@@ -104,8 +103,9 @@ pub(crate) fn interacting(cache: &SliceCache, active: &[usize], ego: &VehicleSta
 
 /// The one slice loop behind every tube. It expands `tube` — a fresh start
 /// from the ego state, or a prefix copied from a traced build — slice by
-/// slice from its frontier up to the horizon, against the obstacles
-/// `active` (cache indices, in scan order), through [`expand_slice`].
+/// slice from its last slice, the frontier, up to the horizon, against the
+/// obstacles `active` (cache indices, in scan order), through
+/// [`expand_slice`].
 ///
 /// A patch passes the factual record as its `basis`, so each slice reuses
 /// the verdicts the removal cannot change. The traced build passes its
@@ -113,7 +113,7 @@ pub(crate) fn interacting(cache: &SliceCache, active: &[usize], ego: &VehicleSta
 /// passes neither and ignores the record.
 pub(crate) fn expand(
     map: &RoadMap,
-    mut tube: PartialTube,
+    mut tube: ReachTube,
     cache: &SliceCache,
     active: &[u32],
     config: &ReachConfig,
@@ -134,10 +134,13 @@ pub(crate) fn expand(
     if blame.is_some() {
         // A cell turns occupied at most once per tube, so no slice can
         // newly occupy more cells than the grid holds.
-        let cells = scratch.cells.len().max(tube.grid.len());
+        let cells = scratch.cells.len().max(tube.grid().len());
         scratch.cells.resize(cells, 0);
     }
-    check_states(&tube.frontier);
+    // The pair each frontier state's admitting verdict computed; none for
+    // the frontier the build starts from.
+    let mut trigs: Vec<Trig> = Vec::new();
+    check_states(tube.frontier());
     for slice_idx in tube.slice_count()..=config.slices() {
         // All obstacles of this slice sit in one contiguous lane segment;
         // the active list picks the participating entries by index.
@@ -147,13 +150,14 @@ pub(crate) fn expand(
         if let Some(basis) = basis.as_deref_mut() {
             basis.load_slice(slice_idx - 1);
         }
-        scratch.begin_slice(tube.frontier.len(), &axes);
+        let (frontier, grid) = tube.frontier_and_grid();
+        scratch.begin_slice(frontier.len(), &axes);
         let out = expand_slice(
             &ctx,
             &lanes,
             basis.as_deref(),
-            (&tube.frontier, &tube.frontier_trigs),
-            &mut tube.grid,
+            (frontier, &trigs),
+            grid,
             &mut scratch,
         );
         if let Some(blame) = blame.as_deref_mut() {
@@ -161,17 +165,14 @@ pub(crate) fn expand(
         }
         tube.truncated |= out.truncated;
         tube.blocked |= out.mask != 0;
-        tube.frontier.clear();
-        tube.frontier_trigs.clear();
-        for &(_, state, trig) in scratch.table.entries.iter().take(out.frontier) {
-            tube.frontier.push(state);
-            tube.frontier_trigs.push(trig);
-        }
-        check_states(&tube.frontier);
-        tube.emit_frontier();
+        let survivors = scratch.table.entries.iter().take(out.frontier);
+        trigs.clear();
+        trigs.extend(survivors.clone().map(|&(_, _, trig)| trig));
+        tube.push_slice(survivors.map(|&(_, state, _)| state));
+        check_states(tube.frontier());
     }
     SCRATCH.set(scratch);
-    tube.finish()
+    tube
 }
 
 /// The state contracts of every state a tube holds (validating builds
@@ -844,7 +845,7 @@ mod tests {
         let tube = compute_reach_tube(&open_road(), ego(), &[], &ReachConfig::default());
         assert!(!tube.is_empty());
         assert!(tube.volume() > 50.0, "volume {}", tube.volume());
-        assert_eq!(tube.slices().len(), ReachConfig::default().slices() + 1);
+        assert_eq!(tube.slice_count(), ReachConfig::default().slices() + 1);
     }
 
     #[test]

@@ -46,4 +46,4 @@ pub use config::{ReachConfig, SamplingMode};
 pub use obstacle::Obstacle;
 pub use patch::{compute_reach_tube_traced, derive_empty_tube, patch_counterfactual, TubeBlame};
 pub use slice_cache::SliceCache;
-pub use tube::{ReachTube, SliceStates, TubeSlices};
+pub use tube::ReachTube;

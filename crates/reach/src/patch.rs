@@ -19,7 +19,7 @@
 //! 2. [`patch_counterfactual`] then derives the tube with actor `i` removed
 //!    by revisiting **only** what actor `i` touched. The leading slices
 //!    whose blame mask lacks `i` are copied verbatim from the factual
-//!    tube's SoA lanes and their recorded grid cells replayed; from the
+//!    tube's state array and their recorded grid cells replayed; from the
 //!    first affected slice on, the kernel re-derives the frontier with the
 //!    factual record as its [`Basis`], reusing recorded verdicts wherever
 //!    the removal provably cannot change them.
@@ -45,7 +45,6 @@ use iprism_dynamics::VehicleState;
 use iprism_map::RoadMap;
 
 use crate::compute::{canonical_order, ego_grid, expand, interacting, Scratch, SliceOutcome};
-use crate::tube::PartialTube;
 use crate::{ReachConfig, ReachTube, SliceCache};
 
 /// Blame record of one traced factual build: everything
@@ -168,13 +167,13 @@ pub fn compute_reach_tube_traced(
         slice_cells: vec![0],
         ..TubeBlame::default()
     };
-    let start = PartialTube::start(ego, ego_grid(&ego, config));
+    let start = ReachTube::start(ego, ego_grid(&ego, config));
     let tube = expand(map, start, cache, &active, config, None, Some(&mut blame));
     (tube, blame)
 }
 
 /// The factual tube's slices `0..=last` (clamped to the tube) as the start
-/// of a derived tube: the lanes copied, the grid cells those slices newly
+/// of a derived tube: the states copied, the grid cells those slices newly
 /// occupied replayed onto a fresh ego grid, their truncation flags and
 /// blame masks kept as the prefix's truncation and blocking flags.
 fn copy_prefix(
@@ -183,8 +182,8 @@ fn copy_prefix(
     ego: &VehicleState,
     last: usize,
     config: &ReachConfig,
-) -> PartialTube {
-    let last = last.min(tube.slices().len().saturating_sub(1));
+) -> ReachTube {
+    let last = last.min(tube.slice_count().saturating_sub(1));
     let mut grid = ego_grid(ego, config);
     let cells_end = blame.slice_cells.get(last).copied().unwrap_or(0) as usize;
     for &cell in blame.cells.get(..cells_end).unwrap_or(&[]) {
@@ -220,10 +219,10 @@ pub fn derive_empty_tube(
     let Some(first) = blame.first_blamed_slice() else {
         return tube.clone();
     };
-    let Some(ego) = tube.slices().get(0).and_then(|s| s.get(0)) else {
+    let Some(ego) = tube.slice(0).and_then(<[VehicleState]>::first) else {
         return tube.clone();
     };
-    let start = copy_prefix(tube, blame, &ego, first - 1, config);
+    let start = copy_prefix(tube, blame, ego, first - 1, config);
     expand(map, start, cache, &[], config, None, None)
 }
 
@@ -258,7 +257,7 @@ pub fn patch_counterfactual(
         .copied()
         .filter(|&c| c != removed_u32)
         .collect();
-    let Some(ego) = tube.slices().get(0).and_then(|s| s.get(0)) else {
+    let Some(ego) = tube.slice(0).and_then(<[VehicleState]>::first) else {
         return tube.clone();
     };
     // Until the first slice blaming the removed actor, every slice is the
@@ -266,12 +265,12 @@ pub fn patch_counterfactual(
     // actor. From there on the frontier may grow past the factual one, so
     // every later slice is patched.
     let last = blame.unblamed_prefix(1u64 << removed_pos.min(63));
-    let start = copy_prefix(tube, blame, &ego, last, config);
+    let start = copy_prefix(tube, blame, ego, last, config);
     let mut basis = Basis {
         tube,
         blame,
         removed: removed_pos,
-        parents: Vec::new(),
+        parents: &[],
         first: 0,
     };
     expand(map, start, cache, &reduced, config, Some(&mut basis), None)
@@ -286,17 +285,14 @@ pub(crate) struct Basis<'a> {
     removed: u32,
     /// The factual frontier the current slice expands (canonical
     /// descending), and the record index of its first parent.
-    parents: Vec<VehicleState>,
+    parents: &'a [VehicleState],
     first: usize,
 }
 
 impl Basis<'_> {
     /// Loads the factual parents of the slice expanding slice `parent_slice`.
     pub(crate) fn load_slice(&mut self, parent_slice: usize) {
-        self.parents.clear();
-        if let Some(parents) = self.tube.slices().get(parent_slice) {
-            self.parents.extend(parents.iter());
-        }
+        self.parents = self.tube.slice(parent_slice).unwrap_or_default();
         self.first = self
             .blame
             .slice_parents
@@ -565,11 +561,7 @@ mod tests {
             "first blamed slice {first}"
         );
         for i in 0..first {
-            let (a, b) = (
-                tube.slices().get(i).unwrap(),
-                derived.slices().get(i).unwrap(),
-            );
-            assert!(a.iter().eq(b.iter()), "shared slice {i} differs");
+            assert_eq!(tube.slice(i), derived.slice(i), "shared slice {i} differs");
         }
         assert_ne!(derived, tube);
         assert_eq!(derived, rebuilt);
@@ -605,11 +597,11 @@ mod tests {
         })
     }
 
-    /// FNV-1a over a tube's state lanes (slice by slice, each slice
+    /// FNV-1a over a tube's states (slice by slice, each slice
     /// prefixed by its length), its truncation flag and its grid (through
     /// the grid's `Debug` image, which lists every cell).
     fn tube_fingerprint(tube: &ReachTube) -> u64 {
-        let states = tube.slices().iter().flat_map(|slice| {
+        let states = tube.slices().flat_map(|slice| {
             std::iter::once(slice.len() as u64).chain(
                 slice
                     .iter()
@@ -706,6 +698,30 @@ mod tests {
             h, 0x6931_75d2_f91b_6ad5,
             "sampling-mode tube fingerprint {h:#018x}"
         );
+    }
+
+    /// A build resumed from any copied prefix of a traced tube, over the
+    /// traced build's own active list, rebuilds that tube. Derived tubes
+    /// resume only at their first affected slice; this resumes at every
+    /// slice boundary, from a frontier whose states carry no heading pairs.
+    #[test]
+    fn resuming_any_prefix_rebuilds_the_tube() {
+        let map = open_road();
+        for default_preset in [true, false] {
+            for mode in 0..3 {
+                let cfg = preset(default_preset, mode);
+                for obstacles in [scene(), moving_scene()] {
+                    let cache = SliceCache::new(&obstacles, &cfg);
+                    let all: Vec<usize> = (0..obstacles.len()).collect();
+                    let (tube, blame) = compute_reach_tube_traced(&map, ego(), &cache, &all, &cfg);
+                    for last in 0..tube.slice_count() {
+                        let start = copy_prefix(&tube, &blame, &ego(), last, &cfg);
+                        let resumed = expand(&map, start, &cache, blame.active(), &cfg, None, None);
+                        assert_eq!(resumed, tube, "resumed after slice {last}, mode {mode}");
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

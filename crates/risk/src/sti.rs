@@ -680,6 +680,72 @@ mod tests {
         }
     }
 
+    /// Degenerate scenes equal the naive `N + 2` rebuilds bit for bit at 1
+    /// and 2 threads, in full and combined: the ego overlapping a parked car
+    /// at `t0`, off the map, at rest, and among 106 actors.
+    #[test]
+    fn degenerate_scenes_match_the_naive_rebuilds() {
+        let map = map3();
+        let at = |ego| SceneSnapshot::new(0.0, ego, (4.6, 2.0));
+        // 104 cars parked 2.5 m apart along both neighbouring lanes, then
+        // two blockers in the ego's lane (cache indices 104 and 105).
+        let mut crowd = at(ego());
+        for i in 0..104 {
+            let y = if i % 2 == 0 { 1.75 } else { 8.75 };
+            crowd = crowd.with_actor(parked(i + 1, 35.0 + 2.5 * f64::from(i / 2), y));
+        }
+        let crowd = crowd
+            .with_actor(parked(105, 114.0, 5.25))
+            .with_actor(parked(106, 124.0, 5.25));
+        // With more than 65 interacting actors, the blockers sit past active
+        // position 64, so every slice they block saturates its mask.
+        let (interacting, blamed, ..) = blame_class(&map, &crowd);
+        assert!(interacting > 65, "{interacting} interacting actors");
+        assert!(blamed.contains(&104), "the first blocker is not blamed");
+        // (scene, its combined STI where the scene alone fixes it)
+        let scenes = [
+            (
+                // Every candidate hits the car: no escape route is left.
+                "overlapping a parked car",
+                at(ego()).with_actor(parked(1, 102.0, 5.25)),
+                Some(1.0),
+            ),
+            (
+                // No escape route even in the empty world: no risk to blame.
+                "off the map",
+                at(VehicleState::new(100.0, 50.0, 0.0, 10.0)).with_actor(parked(1, 114.0, 5.25)),
+                Some(0.0),
+            ),
+            (
+                "at rest",
+                at(VehicleState::new(100.0, 5.25, 0.0, 0.0))
+                    .with_actor(parked(1, 106.0, 5.25))
+                    .with_actor(parked(2, 104.0, 8.75)),
+                None,
+            ),
+            ("106 actors", crowd, None),
+        ];
+        for (name, scene, combined) in scenes {
+            let expect = naive_sti(&map, &scene);
+            if let Some(combined) = combined {
+                assert_eq!(expect.combined, combined, "{name}");
+            }
+            for threads in [1, 2] {
+                let ev = StiEvaluator::default().with_threads(threads);
+                assert_eq!(
+                    ev.evaluate(&map, &scene),
+                    expect,
+                    "{name}, {threads} threads"
+                );
+                assert_eq!(
+                    ev.evaluate_combined(&map, &scene),
+                    expect.combined,
+                    "{name}, {threads} threads, combined"
+                );
+            }
+        }
+    }
+
     #[test]
     fn out_of_path_actor_still_contributes() {
         // §V-D case (b): an actor in the adjacent lane encroaching on the

@@ -31,11 +31,6 @@ pub struct DdqnConfig {
     pub epsilon: EpsilonSchedule,
     /// Huber loss threshold.
     pub huber_delta: f64,
-    /// Use the double-Q target (`Q_target(s', argmax_a Q_online(s', a))`,
-    /// paper reference [47]). `false` falls back to vanilla DQN
-    /// (`max_a Q_target(s', a)`) — kept as an ablation of the paper's
-    /// algorithm choice.
-    pub double_q: bool,
     /// RNG seed (network init, exploration, replay sampling).
     pub seed: u64,
     /// Hard cap on steps per episode (0 = unlimited).
@@ -62,7 +57,6 @@ impl Default for DdqnConfig {
             updates_per_step: 1,
             epsilon: EpsilonSchedule::default(),
             huber_delta: 1.0,
-            double_q: true,
             seed: 0,
             max_steps_per_episode: 500,
             #[cfg(any(test, feature = "per-sample-reference"))]
@@ -85,7 +79,6 @@ impl DdqnConfig {
             updates_per_step: 1,
             epsilon: EpsilonSchedule::new(1.0, 0.05, 400),
             huber_delta: 1.0,
-            double_q: true,
             seed: 7,
             max_steps_per_episode: 50,
             #[cfg(any(test, feature = "per-sample-reference"))]
@@ -255,10 +248,8 @@ impl DdqnAgent {
         // never read, so the update is unaffected.
         self.target
             .forward_batch_cached(&arena.next_states, &mut arena.next_target);
-        if self.config.double_q {
-            self.online
-                .forward_batch_cached(&arena.next_states, &mut arena.next_online);
-        }
+        self.online
+            .forward_batch_cached(&arena.next_states, &mut arena.next_online);
         self.online
             .forward_batch_cached(&arena.states, &mut arena.q_cache);
 
@@ -272,14 +263,8 @@ impl DdqnAgent {
             let target_y = if t.done {
                 t.reward
             } else {
-                let target_q = arena.next_target.output(s);
-                let q_next = if self.config.double_q {
-                    // Double-DQN: online net selects, target net evaluates.
-                    target_q[argmax(arena.next_online.output(s))]
-                } else {
-                    // Vanilla DQN ablation: target net does both.
-                    target_q[argmax(target_q)]
-                };
+                // Double-DQN: online net selects, target net evaluates.
+                let q_next = arena.next_target.output(s)[argmax(arena.next_online.output(s))];
                 t.reward + self.config.gamma * q_next
             };
             let q = arena.q_cache.output(s)[t.action];
@@ -316,13 +301,8 @@ impl DdqnAgent {
                 t.reward
             } else {
                 let target_q = self.target.forward(&t.next_state);
-                let q_next = if self.config.double_q {
-                    // Double-DQN: online net selects, target net evaluates.
-                    target_q[argmax(&self.online.forward(&t.next_state))]
-                } else {
-                    // Vanilla DQN ablation: target net does both.
-                    target_q[argmax(&target_q)]
-                };
+                // Double-DQN: online net selects, target net evaluates.
+                let q_next = target_q[argmax(&self.online.forward(&t.next_state))];
                 t.reward + self.config.gamma * q_next
             };
             let cache = self.online.forward_cached(&t.state);
@@ -471,23 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn vanilla_dqn_ablation_also_learns_but_differs() {
-        let mut cfg = DdqnConfig::small_test();
-        cfg.double_q = false;
-        let mut env = Chain { pos: 0 };
-        let vanilla = train(&mut env, &cfg, 120);
-        let late: f64 = vanilla.episode_returns.iter().rev().take(20).sum::<f64>() / 20.0;
-        assert!(
-            late > 0.5,
-            "vanilla DQN should still solve the chain: {late}"
-        );
-        // The two targets genuinely change the trajectory of learning.
-        let mut env = Chain { pos: 0 };
-        let double = train(&mut env, &DdqnConfig::small_test(), 120);
-        assert_ne!(vanilla.episode_returns, double.episode_returns);
-    }
-
-    #[test]
     fn training_is_deterministic() {
         let run = || {
             let mut env = Chain { pos: 0 };
@@ -513,21 +476,6 @@ mod tests {
         let (reference_weights, reference_returns) = run(true);
         assert_eq!(batched_returns, reference_returns);
         assert_eq!(batched_weights, reference_weights);
-    }
-
-    /// Same check for the vanilla-DQN ablation target (different Q(s′) path
-    /// through the batched engine).
-    #[test]
-    fn batched_engine_matches_reference_for_vanilla_dqn() {
-        let run = |reference: bool| {
-            let mut cfg = DdqnConfig::small_test();
-            cfg.double_q = false;
-            cfg.reference_engine = reference;
-            let mut env = Chain { pos: 0 };
-            let trained = train(&mut env, &cfg, 40);
-            serde_json::to_string(trained.agent.network()).unwrap()
-        };
-        assert_eq!(run(false), run(true));
     }
 
     /// The production Q-network (`DdqnConfig::default()` on the SMC's 19
